@@ -3,7 +3,7 @@ module Stats = Mcss_workload.Stats
 module Problem = Mcss_core.Problem
 module Allocation = Mcss_core.Allocation
 module Rng = Mcss_prng.Rng
-module Dist = Mcss_prng.Dist
+module Schedule = Mcss_sim.Schedule
 module Registry = Mcss_obs.Registry
 module Span = Mcss_obs.Span
 module Counter = Mcss_obs.Metric.Counter
@@ -16,7 +16,10 @@ type t = {
   message_bytes : int;
 }
 
-type arrivals = Deterministic | Poisson of int
+type arrivals = Schedule.arrivals =
+  | Deterministic
+  | Poisson of int
+  | Diurnal of { seed : int; amplitude : float }
 
 type config = {
   duration : float;
@@ -76,56 +79,6 @@ let num_brokers fleet = Array.length fleet.brokers
 
 let brokers_for_topic fleet topic = fleet.routing.(topic)
 
-(* Same deterministic per-topic phase as the counting simulator, so the
-   two substrates generate identical schedules. *)
-let phase_of_topic t =
-  let h =
-    Int64.to_int
-      (Int64.shift_right_logical (Int64.mul (Int64.of_int (t + 1)) 0x9E3779B97F4A7C15L) 11)
-  in
-  float_of_int h *. 0x1p-53
-
-let schedule_events w ~arrivals ~duration =
-  let times : float Mcss_core.Vec.t = Mcss_core.Vec.create () in
-  let topics : int Mcss_core.Vec.t = Mcss_core.Vec.create () in
-  let emit time topic =
-    Mcss_core.Vec.push times time;
-    Mcss_core.Vec.push topics topic
-  in
-  (match arrivals with
-  | Deterministic ->
-      for t = 0 to Workload.num_topics w - 1 do
-        let ev = Workload.event_rate w t in
-        let n = int_of_float (Float.round (ev *. duration)) in
-        if n > 0 then begin
-          let interval = duration /. float_of_int n in
-          let phase = phase_of_topic t *. interval in
-          for k = 0 to n - 1 do
-            emit (phase +. (float_of_int k *. interval)) t
-          done
-        end
-      done
-  | Poisson seed ->
-      let rng = Rng.create seed in
-      for t = 0 to Workload.num_topics w - 1 do
-        let ev = Workload.event_rate w t in
-        let time = ref (Dist.exponential rng ~mean:(1. /. ev)) in
-        while !time < duration do
-          emit !time t;
-          time := !time +. Dist.exponential rng ~mean:(1. /. ev)
-        done
-      done);
-  let n = Mcss_core.Vec.length times in
-  let order = Array.init n (fun i -> i) in
-  let times = Mcss_core.Vec.to_array times in
-  let topics = Mcss_core.Vec.to_array topics in
-  Array.sort (fun a b -> compare (times.(a), topics.(a)) (times.(b), topics.(b))) order;
-  Array.map (fun i -> (times.(i), topics.(i))) order
-
-let schedule fleet config =
-  schedule_events fleet.problem.Problem.workload ~arrivals:config.arrivals
-    ~duration:config.duration
-
 (* Bounded reservoir over delivery latencies so quantiles stay exact for
    small runs and statistically sound for big ones. The eviction draws
    come from the caller's seeded [Mcss_prng] source, so histograms are
@@ -175,19 +128,23 @@ let run ?(obs = Registry.noop) fleet config =
   if not (config.duration > 0.) then invalid_arg "Fleet.run: duration must be positive";
   Span.with_ obs ~name:"fleet" @@ fun () ->
   let w = fleet.problem.Problem.workload in
-  let events = Span.with_ obs ~name:"schedule" (fun () -> schedule fleet config) in
+  let schedule =
+    Schedule.create ~context:"Fleet.run" w config.arrivals ~duration:config.duration
+  in
   let received = Array.make (Workload.num_subscribers w) 0 in
   let reservoir =
     Reservoir.create ~rng:(Rng.create config.latency_seed) config.latency_reservoir
   in
+  let published = ref 0 in
   let routed = ref 0 in
   let deliveries = ref 0 in
   Span.with_ obs ~name:"deliver" (fun () ->
-      Array.iteri
-        (fun i (time, topic) ->
+      Schedule.iter schedule (fun time topic ->
           let message =
-            Message.make ~id:i ~topic ~publish_time:time ~size_bytes:fleet.message_bytes
+            Message.make ~id:!published ~topic ~publish_time:time
+              ~size_bytes:fleet.message_bytes
           in
+          incr published;
           List.iter
             (fun broker_id ->
               incr routed;
@@ -198,8 +155,7 @@ let run ?(obs = Registry.noop) fleet config =
                   received.(d.Broker.subscriber) <- received.(d.Broker.subscriber) + 1;
                   Reservoir.add reservoir (d.Broker.depart_time -. time))
                 delivered)
-            fleet.routing.(topic))
-        events);
+            fleet.routing.(topic)));
   let max_utilization =
     Array.fold_left
       (fun acc broker -> Float.max acc (Broker.utilization broker ~horizon:config.duration))
@@ -207,7 +163,7 @@ let run ?(obs = Registry.noop) fleet config =
   in
   let report =
     {
-      published = Array.length events;
+      published = !published;
       routed = !routed;
       deliveries = !deliveries;
       received;
@@ -216,7 +172,7 @@ let run ?(obs = Registry.noop) fleet config =
       broker_stats = Array.to_list (Array.map (fun b -> (Broker.id b, Broker.stats b)) fleet.brokers);
       totals =
         {
-          Mcss_report.Delivery.published = Array.length events;
+          Mcss_report.Delivery.published = !published;
           handoffs = !routed;
           delivered = !deliveries;
           dropped = 0;

@@ -10,7 +10,12 @@
 
 type t
 
-type arrivals = Deterministic | Poisson of int
+type arrivals = Mcss_sim.Schedule.arrivals =
+  | Deterministic
+  | Poisson of int
+  | Diurnal of { seed : int; amplitude : float }
+(** The fleet publishes the {!Mcss_sim.Schedule} stream the counting
+    simulator replays: equal arrivals give equal per-subscriber counts. *)
 
 type config = {
   duration : float;  (** In horizons; positive. *)
@@ -59,16 +64,6 @@ val num_brokers : t -> int
 val brokers_for_topic : t -> Mcss_workload.Workload.topic -> int list
 (** The frontend's routing entry, ascending broker ids. *)
 
-val schedule_events :
-  Mcss_workload.Workload.t -> arrivals:arrivals -> duration:float ->
-  (float * Mcss_workload.Workload.topic) array
-(** The publication schedule as (time, topic) pairs sorted by time: with
-    [Deterministic] arrivals, topic [t] publishes exactly
-    [round(ev_t · duration)] events, evenly spaced with a topic-specific
-    phase — the same generator {!Mcss_sim.Simulator} counts with, so a
-    live dataplane pumping this schedule reconciles against the
-    simulator's predictions exactly. *)
-
 (** Bounded reservoir over latency samples: exact quantiles for small
     runs, statistically sound for big ones. Eviction draws come from the
     caller's seeded {!Mcss_prng.Rng}, so summaries are bit-reproducible
@@ -88,13 +83,17 @@ module Reservoir : sig
 end
 
 val run : ?obs:Mcss_obs.Registry.t -> t -> config -> report
-(** Generate the schedule (deterministically seeded), route every message
-    to the brokers hosting its topic, and collect the report. The fleet
-    is consumed: each [t] can be run once (broker queues are stateful);
-    build a fresh fleet per run.
+(** Stream the {!Mcss_sim.Schedule} (message ids count up in publication
+    order), route every message to the brokers hosting its topic, and
+    collect the report. The fleet is consumed: each [t] can be run once
+    (broker queues are stateful); build a fresh fleet per run.
+
+    Raises [Invalid_argument] (prefixed ["Fleet.run: "]) for a
+    nonpositive [duration] or a [Diurnal] amplitude outside
+    [0 <= amplitude < 1], as {!Mcss_sim.Simulator.run} does.
 
     [obs] (default {!Mcss_obs.Registry.noop}) records a [fleet] span with
-    [schedule]/[deliver] children, the [broker.published] /
+    a [deliver] child, the [broker.published] /
     [broker.routed] / [broker.deliveries] counters, the
     [broker.max_utilization] gauge and two histograms:
     [broker.utilization] (per broker) and [broker.delivery_latency]

@@ -6,7 +6,6 @@ module Delivery = Mcss_report.Delivery
 
 type config = {
   duration : float;
-  arrivals : Fleet.arrivals;
   pace : float;
   batch : int;
   latency_seed : int;
@@ -17,7 +16,6 @@ type config = {
 let default_config =
   {
     duration = 1.0;
-    arrivals = Fleet.Deterministic;
     pace = 0.;
     batch = 64;
     latency_seed = 1;
@@ -65,7 +63,8 @@ let run ?(config = default_config) ?sinks cluster p a =
       let received0 = Subscriber.copies sinks in
       let t0 = Clock.now_ns () in
       let schedule =
-        Fleet.schedule_events w ~arrivals:config.arrivals ~duration:config.duration
+        Mcss_sim.Schedule.(
+          to_array (create ~context:"Pump.run" w Deterministic ~duration:config.duration))
       in
       let publisher =
         Publisher.run ~batch:config.batch ~pace:config.pace cluster ~schedule

@@ -1,7 +1,7 @@
 (** One measured run against a live fleet: attach sinks, generate the
-    deterministic schedule, pump it, wait for the fan-out to quiesce,
-    and report the window — optionally reconciled against the
-    simulator's predictions.
+    deterministic {!Mcss_sim.Schedule}, pump it, wait for the fan-out
+    to quiesce, and report the window — optionally reconciled against
+    the simulator's predictions, which replay the same schedule.
 
     Quiescing uses the backpressure contract: once every batch is
     acked, all copies are in broker sink buffers, so the pump polls
@@ -11,8 +11,6 @@
 
 type config = {
   duration : float;  (** Horizons of load; positive. *)
-  arrivals : Mcss_broker.Fleet.arrivals;
-      (** Reconciliation requires [Deterministic] (the default). *)
   pace : float;  (** Wall seconds per horizon; [0.] = full speed. *)
   batch : int;
   latency_seed : int;
@@ -21,7 +19,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 horizon, deterministic, unpaced, batch 64, seed 1, no
+(** 1 horizon, unpaced, batch 64, seed 1, no
     reconciliation. *)
 
 type report = {

@@ -1,8 +1,8 @@
 (** Reconciliation: the measured dataplane against the verified model.
 
-    The pump and {!Mcss_sim.Simulator} generate the {e same}
+    The pump and {!Mcss_sim.Simulator} replay the {e same}
     deterministic publication schedule ([round(ev_t · duration)] events
-    per topic, {!Mcss_broker.Fleet.schedule_events}), so on a healthy
+    per topic, {!Mcss_sim.Schedule}), so on a healthy
     fleet the per-subscriber unique delivery counts must match the
     simulator's predictions {e exactly}, and per-VM handoffs must match
     [vm_ingress]. A nonzero tolerance only buys slack for runs with

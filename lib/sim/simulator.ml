@@ -5,15 +5,10 @@ module Registry = Mcss_obs.Registry
 module Span = Mcss_obs.Span
 module Counter = Mcss_obs.Metric.Counter
 
-type arrivals =
+type arrivals = Schedule.arrivals =
   | Deterministic
   | Poisson of int
   | Diurnal of { seed : int; amplitude : float }
-
-let pi = 4. *. atan 1.
-
-(* Intensity modulation with unit mean over whole horizons. *)
-let modulation ~amplitude time = 1. +. (amplitude *. sin (2. *. pi *. time))
 
 type outage = { vm : int; from_time : float; until_time : float; severity : float }
 
@@ -41,26 +36,23 @@ type result = {
   config : config;
 }
 
-(* A deterministic per-topic phase in [0, 1): decorrelates the evenly
-   spaced publication streams without any RNG state. *)
 let peak_bucket_rate_raw ~duration ~buckets loads =
   let bucket_len = duration /. float_of_int buckets in
   Array.fold_left Float.max 0. loads /. bucket_len
-
-let phase_of_topic t =
-  let h = Int64.to_int (Int64.shift_right_logical (Int64.mul (Int64.of_int (t + 1)) 0x9E3779B97F4A7C15L) 11) in
-  float_of_int h *. 0x1p-53
 
 let run ?(obs = Registry.noop) (p : Problem.t) a config =
   Span.with_ obs ~name:"simulate" @@ fun () ->
   Time_window.validate_positive ~context:"Simulator.run" ~what:"duration"
     config.duration;
   if config.buckets < 1 then invalid_arg "Simulator.run: buckets must be >= 1";
-  (match config.arrivals with
-  | Diurnal { amplitude; _ } when amplitude < 0. || amplitude >= 1. ->
-      invalid_arg "Simulator.run: diurnal amplitude must be in [0, 1)"
-  | _ -> ());
   let w = p.Problem.workload in
+  (* Every topic publishes — whether or not the allocation forwards it —
+     so the delivered counts reflect the world, not just the fleet. *)
+  let schedule =
+    Span.with_ obs ~name:"setup" (fun () ->
+        Schedule.create ~context:"Simulator.run" w config.arrivals
+          ~duration:config.duration)
+  in
   let num_vms = Allocation.num_vms a in
   List.iter
     (fun o ->
@@ -160,71 +152,7 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
         in
         Hashtbl.replace tbl f (1 + Option.value ~default:0 (Hashtbl.find_opt tbl f))
   in
-  (* Drive all topic streams through one time-ordered queue. Each heap
-     payload is (topic, interval): [interval <= 0.] marks a Poisson stream
-     whose next gap is drawn on the fly. *)
-  let heap = Event_heap.create () in
-  let rng =
-    match config.arrivals with
-    | Deterministic -> None
-    | Poisson seed | Diurnal { seed; _ } -> Some (Mcss_prng.Rng.create seed)
-  in
-  (* Every topic publishes — whether or not the allocation forwards it —
-     so the delivered counts reflect the world, not just the fleet. *)
-  Span.with_ obs ~name:"setup" (fun () ->
-  for t = 0 to Workload.num_topics w - 1 do
-    let ev = Workload.event_rate w t in
-    match config.arrivals with
-    | Deterministic ->
-        let n = int_of_float (Float.round (ev *. config.duration)) in
-        if n > 0 then begin
-          let interval = config.duration /. float_of_int n in
-          Event_heap.push heap (phase_of_topic t *. interval) (t, interval)
-        end
-    | Poisson _ ->
-        let rng = Option.get rng in
-        let first = Mcss_prng.Dist.exponential rng ~mean:(1. /. ev) in
-        if first < config.duration then Event_heap.push heap first (t, -1.)
-    | Diurnal { amplitude; _ } ->
-        (* Thinning: candidates at the peak rate, accepted with
-           probability modulation/peak; rejected candidates re-arm the
-           stream without publishing (interval = -2 marks the variant). *)
-        let rng = Option.get rng in
-        let peak = ev *. (1. +. amplitude) in
-        let first = Mcss_prng.Dist.exponential rng ~mean:(1. /. peak) in
-        if first < config.duration then Event_heap.push heap first (t, -2.)
-  done);
-  let amplitude =
-    match config.arrivals with Diurnal { amplitude; _ } -> amplitude | _ -> 0.
-  in
-  let heap_pops = ref 0 in
-  let rec drain () =
-    match Event_heap.pop heap with
-    | None -> ()
-    | Some (time, (t, interval)) ->
-        incr heap_pops;
-        let ev = Workload.event_rate w t in
-        (if interval = -2. then begin
-           (* Diurnal thinning: accept at the modulated fraction. *)
-           let accept =
-             Mcss_prng.Rng.unit_float (Option.get rng)
-             < modulation ~amplitude time /. (1. +. amplitude)
-           in
-           if accept then publish time t
-         end
-         else publish time t);
-        let next =
-          if interval > 0. then time +. interval
-          else if interval = -2. then
-            time
-            +. Mcss_prng.Dist.exponential (Option.get rng)
-                 ~mean:(1. /. (ev *. (1. +. amplitude)))
-          else time +. Mcss_prng.Dist.exponential (Option.get rng) ~mean:(1. /. ev)
-        in
-        if next < config.duration then Event_heap.push heap next (t, interval);
-        drain ()
-  in
-  Span.with_ obs ~name:"drain" drain;
+  Span.with_ obs ~name:"drain" (fun () -> Schedule.iter schedule publish);
   (* Each distinct placed pair delivers every publication of its topic
      once. Replicas of the same pair on several VMs dedupe (a real broker
      would dedupe by event id): an event is lost for the pair only when
@@ -278,7 +206,7 @@ let run ?(obs = Registry.noop) (p : Problem.t) a config =
   if Registry.enabled obs then begin
     let c name help v = Counter.add (Registry.counter obs ~help name) v in
     c "sim.events_published" "Publications generated by the event loop" r.events_published;
-    c "sim.heap_pops" "Event-heap pops (arrivals dispatched)" !heap_pops;
+    c "sim.heap_pops" "Schedule heap pops (arrivals dispatched)" (Schedule.pops schedule);
     c "sim.forwards" "Per-VM forwarding decisions that went through" !n_forwards;
     c "sim.outage_drops" "Per-VM forwarding decisions lost to outages" !n_outage_drops;
     c "sim.outage_windows" "Outage windows injected into the run"

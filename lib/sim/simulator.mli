@@ -11,22 +11,12 @@
     representing exactly one rate horizon (event rates are events per
     horizon). *)
 
-type arrivals =
+type arrivals = Schedule.arrivals =
   | Deterministic
-      (** Topic [t] publishes exactly [round(ev_t · duration)] events,
-          evenly spaced with a topic-specific phase — measured totals then
-          match the analytical model exactly for integral rates and
-          [duration = 1]. *)
   | Poisson of int
-      (** Poisson process with rate [ev_t], seeded for reproducibility —
-          measured totals fluctuate around the analytical model. *)
   | Diurnal of { seed : int; amplitude : float }
-      (** Inhomogeneous Poisson with intensity
-          [ev_t · (1 + amplitude · sin(2π · time))] (thinning): the mean
-          rate still matches the model the optimiser used, but traffic
-          peaks [1 + amplitude] above it — the realistic case the paper's
-          average-rate capacity constraint glosses over. Requires
-          [0 <= amplitude < 1]. *)
+(** How topics publish: the run replays the {!Schedule} stream, the one
+    [Mcss_broker.Fleet] and the live dataplane publish too. *)
 
 type outage = {
   vm : int;  (** VM id, as in the allocation. *)
@@ -83,6 +73,9 @@ val run :
     placement) delivers as long as {e any} replica host forwards the
     event — replicas dedupe, they never double-deliver. O((E + P) log T)
     for E published events and P placed pairs.
+
+    Raises [Invalid_argument] (prefixed ["Simulator.run: "]) for a
+    [Diurnal] amplitude outside [0 <= amplitude < 1].
 
     Every outage is validated up front: raises [Invalid_argument] if an
     outage's [vm] is outside the fleet, its window is inverted

@@ -182,17 +182,49 @@ let test_broker_latency_matches_md1 () =
       Helpers.check_bool "below the M/M/1 envelope" true
         (l.Fleet.mean < Q.mm1_mean_sojourn ~utilization:0.5 ~service_time *. 1.15)
 
+(* Every arrival model, so the fleet and the simulator must draw the
+   same stochastic stream under one seed, not merely the same counts. *)
+let arrivals_arbitrary =
+  QCheck.(
+    make
+      ~print:(function
+        | Fleet.Deterministic -> "Deterministic"
+        | Fleet.Poisson seed -> Printf.sprintf "Poisson %d" seed
+        | Fleet.Diurnal { seed; amplitude } ->
+            Printf.sprintf "Diurnal {seed = %d; amplitude = %g}" seed amplitude)
+      Gen.(
+        oneof
+          [
+            return Fleet.Deterministic;
+            map (fun seed -> Fleet.Poisson seed) small_nat;
+            map2
+              (fun seed amplitude -> Fleet.Diurnal { seed; amplitude })
+              small_nat (float_bound_exclusive 1.);
+          ]))
+
 let prop_fleet_agrees_with_simulator =
   Helpers.qtest ~count:40 "fleet traffic equals the counting simulator's"
-    Helpers.problem_arbitrary (fun p ->
+    QCheck.(pair Helpers.problem_arbitrary arrivals_arbitrary)
+    (fun (p, arrivals) ->
       let r = Solver.solve p in
       let fleet = Fleet.build p r.Solver.allocation ~message_bytes:1 in
-      let report = Fleet.run fleet Fleet.default_config in
+      let report = Fleet.run fleet { Fleet.default_config with Fleet.arrivals } in
       let sim =
-        Mcss_sim.Simulator.run p r.Solver.allocation Mcss_sim.Simulator.default_config
+        Mcss_sim.Simulator.run p r.Solver.allocation
+          { Mcss_sim.Simulator.default_config with Mcss_sim.Simulator.arrivals }
       in
       report.Fleet.received = sim.Mcss_sim.Simulator.delivered
       && report.Fleet.published = sim.Mcss_sim.Simulator.events_published)
+
+let test_fleet_diurnal_validation () =
+  let p, r = solved_fig1 () in
+  Alcotest.check_raises "amplitude"
+    (Invalid_argument "Fleet.run: diurnal amplitude must be in [0, 1)") (fun () ->
+      ignore
+        (Fleet.run
+           (Fleet.build p r.Solver.allocation ~message_bytes:1)
+           { Fleet.default_config with
+             Fleet.arrivals = Fleet.Diurnal { seed = 1; amplitude = 1.5 } }))
 
 let suite =
   [
@@ -210,6 +242,7 @@ let suite =
     Alcotest.test_case "fleet latency vs utilization" `Quick
       test_fleet_latency_reflects_utilization;
     Alcotest.test_case "fleet poisson reproducible" `Quick test_fleet_poisson_reproducible;
+    Alcotest.test_case "fleet diurnal validation" `Quick test_fleet_diurnal_validation;
     Alcotest.test_case "md1 formulas" `Quick test_md1_formulas;
     Alcotest.test_case "broker latency matches M/D/1" `Quick test_broker_latency_matches_md1;
     prop_fleet_agrees_with_simulator;

@@ -1,36 +1,73 @@
-(* Tests for the event heap and the discrete-event replay. *)
+(* Tests for the publication schedule kernel and the discrete-event replay. *)
 
+module Workload = Mcss_workload.Workload
 module Problem = Mcss_core.Problem
 module Selection = Mcss_core.Selection
 module Allocation = Mcss_core.Allocation
 module Solver = Mcss_core.Solver
-module Event_heap = Mcss_sim.Event_heap
+module Schedule = Mcss_sim.Schedule
 module Simulator = Mcss_sim.Simulator
 
-let test_heap_basic () =
-  let h = Event_heap.create () in
-  Helpers.check_bool "empty" true (Event_heap.is_empty h);
-  Event_heap.push h 3. "c";
-  Event_heap.push h 1. "a";
-  Event_heap.push h 2. "b";
-  Helpers.check_int "size" 3 (Event_heap.size h);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a")) (Event_heap.peek h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop 1" (Some (1., "a")) (Event_heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop 2" (Some (2., "b")) (Event_heap.pop h);
-  Alcotest.(check (option (pair (float 0.) string))) "pop 3" (Some (3., "c")) (Event_heap.pop h);
-  Helpers.check_bool "drained" true (Event_heap.pop h = None)
+(* Reference oracle for deterministic arrivals, independent of the
+   kernel's heap: materialise every event in closed form, then sort by
+   (time, topic). *)
+let reference_schedule w ~duration =
+  let times : float Mcss_core.Vec.t = Mcss_core.Vec.create () in
+  let topics : int Mcss_core.Vec.t = Mcss_core.Vec.create () in
+  for t = 0 to Workload.num_topics w - 1 do
+    let ev = Workload.event_rate w t in
+    let n = int_of_float (Float.round (ev *. duration)) in
+    if n > 0 then begin
+      let interval = duration /. float_of_int n in
+      let phase = Schedule.phase_of_topic t *. interval in
+      for k = 0 to n - 1 do
+        Mcss_core.Vec.push times (phase +. (float_of_int k *. interval));
+        Mcss_core.Vec.push topics t
+      done
+    end
+  done;
+  let n = Mcss_core.Vec.length times in
+  let order = Array.init n (fun i -> i) in
+  let times = Mcss_core.Vec.to_array times in
+  let topics = Mcss_core.Vec.to_array topics in
+  Array.sort (fun a b -> compare (times.(a), topics.(a)) (times.(b), topics.(b))) order;
+  Array.map (fun i -> (times.(i), topics.(i))) order
 
-let prop_heap_pops_sorted =
-  Helpers.qtest "heap pops keys in nondecreasing order" QCheck.(list (float_bound_exclusive 1000.))
-    (fun keys ->
-      let h = Event_heap.create () in
-      List.iteri (fun i k -> Event_heap.push h k i) keys;
-      let rec drain prev =
-        match Event_heap.pop h with
-        | None -> true
-        | Some (k, _) -> k >= prev && drain k
+let stream w arrivals ~duration =
+  Schedule.to_array (Schedule.create ~context:"test" w arrivals ~duration)
+
+let prop_deterministic_matches_oracle =
+  Helpers.qtest "deterministic stream equals the sorted oracle"
+    QCheck.(pair Helpers.problem_arbitrary (float_range 0.05 4.))
+    (fun (p, duration) ->
+      let w = p.Problem.workload in
+      let events = stream w Schedule.Deterministic ~duration in
+      let per_topic = Array.make (Workload.num_topics w) 0 in
+      Array.iter (fun (_, t) -> per_topic.(t) <- per_topic.(t) + 1) events;
+      let expected t = int_of_float (Float.round (Workload.event_rate w t *. duration)) in
+      events = reference_schedule w ~duration
+      && per_topic = Array.init (Workload.num_topics w) expected)
+
+let prop_stochastic_ordered_and_reproducible =
+  Helpers.qtest "poisson/diurnal streams ordered and reproducible"
+    QCheck.(
+      quad Helpers.problem_arbitrary (float_range 0.05 2.) small_nat
+        (option (float_bound_exclusive 1.)))
+    (fun (p, duration, seed, amplitude) ->
+      let w = p.Problem.workload in
+      let arrivals =
+        match amplitude with
+        | None -> Schedule.Poisson seed
+        | Some amplitude -> Schedule.Diurnal { seed; amplitude }
       in
-      drain neg_infinity)
+      let events = stream w arrivals ~duration in
+      let ordered = ref true in
+      Array.iteri
+        (fun i (time, t) ->
+          if time < 0. || time >= duration then ordered := false;
+          if i > 0 && compare events.(i - 1) (time, t) > 0 then ordered := false)
+        events;
+      !ordered && events = stream w arrivals ~duration)
 
 let solved_fig1 () =
   let p = Helpers.fig1_problem ~capacity:50. () in
@@ -179,8 +216,8 @@ let prop_deterministic_sim_validates_solver =
 
 let suite =
   [
-    Alcotest.test_case "heap basic" `Quick test_heap_basic;
-    prop_heap_pops_sorted;
+    prop_deterministic_matches_oracle;
+    prop_stochastic_ordered_and_reproducible;
     Alcotest.test_case "deterministic matches analytical" `Quick
       test_deterministic_matches_analytical;
     Alcotest.test_case "delivered counts" `Quick test_delivered_counts;
