@@ -592,9 +592,8 @@ let ablate_stage2 ~title ~w ~scale =
    re-solve — cost gap, pair churn, runtime. *)
 let ablate_dynamic ~seeds ~w =
   section_header "ablate-dynamic" "incremental reprovisioning vs cold re-solve";
-  let module Delta = Mcss_dynamic.Delta in
+  let module Delta = Mcss_engine.Delta in
   let module Churn = Mcss_dynamic.Churn in
-  let module Reprovision = Mcss_dynamic.Reprovision in
   let rng = Mcss_prng.Rng.create seeds.dynamic in
   let problem_for w =
     Problem.of_pricing ~capacity_events:250_000. ~workload:w ~tau:100.
@@ -602,23 +601,22 @@ let ablate_dynamic ~seeds ~w =
   in
   let churn w = Churn.tick rng (Churn.scaled 1.5) w in
   let w = ref w in
-  let plan = ref (Reprovision.initial (problem_for !w)) in
+  (* Drift off and every subscriber dirty: pure surgery, full GSP
+     reselection, never a cold re-solve. *)
+  let eng = Engine.create ~drift_threshold:infinity (problem_for !w) in
   let incr_time = ref 0. and cold_time = ref 0. in
   let moved = ref 0 and total = ref 0 in
   let incr_cost = ref 0. and cold_cost = ref 0. in
   for _day = 1 to 5 do
     w := Delta.apply !w (churn !w);
     let p = problem_for !w in
-    let (plan', stats), s =
-      timed (fun () -> Reprovision.reprovision ~previous:!plan p)
-    in
+    let stats, s = timed (fun () -> Engine.retarget eng p) in
     incr_time := !incr_time +. s;
-    plan := plan';
     let cold, s = timed (fun () -> Solver.solve p) in
     cold_time := !cold_time +. s;
-    moved := !moved + stats.Reprovision.pairs_added + stats.Reprovision.pairs_evicted;
-    total := !total + stats.Reprovision.pairs_kept + stats.Reprovision.pairs_added;
-    incr_cost := !incr_cost +. Reprovision.cost plan';
+    moved := !moved + stats.Engine.pairs_added + stats.Engine.pairs_evicted;
+    total := !total + stats.Engine.pairs_kept + stats.Engine.pairs_added;
+    incr_cost := !incr_cost +. Engine.cost eng;
     cold_cost := !cold_cost +. cold.Solver.cost
   done;
   Printf.printf
@@ -635,15 +633,14 @@ let ablate_dynamic ~seeds ~w =
     Problem.of_pricing ~capacity_events:250_000. ~workload:!w ~tau:30.
       (Cost_model.ec2_2014 ())
   in
-  let shrunk, sstats = Reprovision.reprovision ~previous:!plan p_small in
-  let before = Allocation.num_vms shrunk.Reprovision.allocation in
-  let plan', cstats = Reprovision.consolidate shrunk in
+  let sstats = Engine.retarget eng p_small in
+  let before = Engine.num_vms eng in
+  let cstats = Engine.consolidate eng in
   Printf.printf
     "demand drop (tau 100 -> 30) strands capacity: %d pairs dropped in place;\n\
      consolidation reclaims %d -> %d VMs by moving %d pairs\n"
-    sstats.Reprovision.pairs_removed before
-    (Allocation.num_vms plan'.Reprovision.allocation)
-    cstats.Reprovision.pairs_evicted
+    sstats.Engine.pairs_removed before (Engine.num_vms eng)
+    cstats.Engine.pairs_evicted
 
 (* Failure ablation: kill a growing share of the fleet mid-horizon and
    measure the satisfaction damage. *)
@@ -878,7 +875,6 @@ let resilience ~seeds ~w ~scale ~out_dir =
   let module Orchestrator = Mcss_resilience.Orchestrator in
   let module Redundancy = Mcss_resilience.Redundancy in
   let module Sla = Mcss_resilience.Sla in
-  let module Reprovision = Mcss_dynamic.Reprovision in
   let model = Cost_model.ec2_2014 () in
   let capacity_events = bc_events ~scale Instance.c3_large in
   let p = Problem.of_pricing ~capacity_events ~workload:w ~tau:100. model in
@@ -916,7 +912,11 @@ let resilience ~seeds ~w ~scale ~out_dir =
   let overhead cost =
     if base_cost > 0. then (cost -. base_cost) /. base_cost *. 100. else 0.
   in
-  let plan_cost (o : Orchestrator.outcome) = Reprovision.cost o.Orchestrator.plan in
+  let plan_cost (o : Orchestrator.outcome) =
+    let { Engine.problem; allocation; _ } = o.Orchestrator.plan in
+    Problem.cost problem ~vms:(Allocation.num_vms allocation)
+      ~bandwidth:(Allocation.total_load allocation)
+  in
   let table =
     Table.create
       [
@@ -940,7 +940,7 @@ let resilience ~seeds ~w ~scale ~out_dir =
       ]
   in
   let vms_of (o : Orchestrator.outcome) =
-    Allocation.num_vms o.Orchestrator.plan.Reprovision.allocation
+    Allocation.num_vms o.Orchestrator.plan.Engine.allocation
   in
   row "no recovery" baseline.Orchestrator.sla ~repairs:0 ~vms:(vms_of baseline)
     ~overhead_pct:(overhead (plan_cost baseline));
@@ -2255,8 +2255,6 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
   let module Pump = Mcss_dataplane.Pump in
   let module Subscriber = Mcss_dataplane.Subscriber in
   let module Reconcile = Mcss_dataplane.Reconcile in
-  let module Recovery = Mcss_dynamic.Recovery in
-  let module Reprovision = Mcss_dynamic.Reprovision in
   let module Allocation = Mcss_core.Allocation in
   (* A live fleet pushes every delivery copy through a socket, so the
      trace is cut well below the solver benchmarks' scale. *)
@@ -2438,14 +2436,13 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
           | Some (pv, _) -> pv
           | None -> victim
         in
-        let plan =
-          { Reprovision.problem = p; selection = r.Solver.selection;
-            allocation = a1 }
+        let eng =
+          Engine.of_plan ~drift_threshold:infinity
+            { Engine.problem = p; selection = r.Solver.selection; allocation = a1 }
         in
-        let plan', rstats = Recovery.replan plan ~failed:[ victim_plan_vm ] in
-        let recover_stats =
-          Cluster.apply_plan cluster plan'.Reprovision.allocation
-        in
+        let rstats = Engine.fail eng ~failed:[ victim_plan_vm ] in
+        let a2 = (Engine.plan eng).Engine.allocation in
+        let recover_stats = Cluster.apply_plan cluster a2 in
         let post_config =
           {
             Pump.default_config with
@@ -2454,7 +2451,7 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
             tolerance = Some 0.;
           }
         in
-        let post = Pump.run ~config:post_config cluster p plan'.Reprovision.allocation in
+        let post = Pump.run ~config:post_config cluster p a2 in
         let post_rc =
           match post.Pump.reconcile with
           | Some rc -> rc
@@ -2463,7 +2460,7 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
         Printf.printf
           "recovery: %d pairs re-homed by replan, %d broker(s) spawned; \
            post-recovery reconcile %s (max deviation %.4f)\n"
-          rstats.Recovery.pairs_rehomed recover_stats.Cluster.spawned
+          rstats.Engine.pairs_rehomed recover_stats.Cluster.spawned
           (if post_rc.Reconcile.pass then "PASS" else "FAIL")
           post_rc.Reconcile.max_deviation;
         let json_path = Filename.concat out_dir "BENCH_dataplane.json" in
@@ -2500,7 +2497,7 @@ let dataplane_bench ~seeds ~spotify_scale ~out_dir =
           steady_rc.Reconcile.max_deviation steady_rc.Reconcile.pass duration
           churn_config.Pump.pace rehome_stats.Cluster.pairs_added
           rehome_stats.Cluster.pairs_removed victim undelivered dropped
-          sim_predicted rstats.Recovery.pairs_rehomed
+          sim_predicted rstats.Engine.pairs_rehomed
           recover_stats.Cluster.spawned post_rc.Reconcile.max_deviation
           post_rc.Reconcile.pass;
         close_out oc;

@@ -16,7 +16,6 @@
 module Workload = Mcss_workload.Workload
 module Problem = Mcss_core.Problem
 module Selection = Mcss_core.Selection
-module Reprovision = Mcss_dynamic.Reprovision
 module Failure_model = Mcss_resilience.Failure_model
 module Orchestrator = Mcss_resilience.Orchestrator
 module Redundancy = Mcss_resilience.Redundancy

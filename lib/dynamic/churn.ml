@@ -1,4 +1,5 @@
 module Workload = Mcss_workload.Workload
+module Delta = Mcss_engine.Delta
 module Rng = Mcss_prng.Rng
 
 type params = {

@@ -7,8 +7,8 @@
 
     - [reserved] — the number of VMs committed at the reserved hourly
       rate for this slice; any fleet above it is billed on demand.
-    - [consolidate] — whether to run a {!Mcss_dynamic.Reprovision}
-      consolidation pass to drain slack VMs. Engine delta application
+    - [consolidate] — whether to run an {!Mcss_engine.Engine.consolidate}
+      pass to drain slack VMs. Engine delta application
       only ever {e grows} the fleet under load (it drops a VM when it
       empties, but falling rates leave VMs underfull, not empty), so
       scale-down is always an explicit, charged decision.

@@ -3,7 +3,6 @@ module Problem = Mcss_core.Problem
 module Allocation = Mcss_core.Allocation
 module Verifier = Mcss_core.Verifier
 module Engine = Mcss_engine.Engine
-module Reprovision = Mcss_dynamic.Reprovision
 module Cost_model = Mcss_pricing.Cost_model
 module Reservation = Mcss_pricing.Reservation
 module Clock = Mcss_obs.Clock
@@ -160,14 +159,14 @@ let run ?pricing ?capacity_events ?policies ?(on_slice = fun ~policy:_ _ -> ())
         ]
   in
   let track (policy : Autoscaler.t) =
-    let engine = ref (Engine.of_plan base_plan) in
+    let engine = Engine.of_plan base_plan in
     let prev_reserved = ref None in
     let reprovisions = ref 0 in
     let rows =
       Array.init slices (fun k ->
           let t0 = Clock.now_ns () in
-          let stats = Engine.apply !engine batches.(k) in
-          let plan = Engine.plan !engine in
+          let stats = Engine.apply engine batches.(k) in
+          let plan = Engine.plan engine in
           let fleet0 = Allocation.num_vms plan.allocation in
           let load = Allocation.total_load plan.allocation in
           let capacity = plan.problem.Problem.capacity in
@@ -190,16 +189,10 @@ let run ?pricing ?capacity_events ?policies ?(on_slice = fun ~policy:_ _ -> ())
           let decision = policy.Autoscaler.decide observation in
           let consolidated =
             decision.Autoscaler.consolidate
-            &&
-            let plan', cstats = Reprovision.consolidate plan in
-            if cstats.Reprovision.vms_removed > 0 then begin
-              engine := Engine.of_plan plan';
-              true
-            end
-            else false
+            && (Engine.consolidate engine).Engine.vms_removed > 0
           in
           let apply_seconds = Clock.seconds_since t0 in
-          let plan = Engine.plan !engine in
+          let plan = Engine.plan engine in
           let fleet = Allocation.num_vms plan.allocation in
           let report = Verifier.verify plan.problem plan.selection plan.allocation in
           let reserved = decision.Autoscaler.reserved in
@@ -246,20 +239,13 @@ let run ?pricing ?capacity_events ?policies ?(on_slice = fun ~policy:_ _ -> ())
 
   (* --- oracle: free per-slice consolidation, exact commitment. --- *)
   let oracle_usd, oracle_fleet =
-    let engine = ref (Engine.of_plan base_plan) in
+    let engine = Engine.of_plan base_plan in
     let total = ref 0. in
     let fleets =
       Array.init slices (fun k ->
-          ignore (Engine.apply !engine batches.(k));
-          let plan = Engine.plan !engine in
-          let plan =
-            let plan', cstats = Reprovision.consolidate plan in
-            if cstats.Reprovision.vms_removed > 0 then begin
-              engine := Engine.of_plan plan';
-              plan'
-            end
-            else plan
-          in
+          ignore (Engine.apply engine batches.(k));
+          ignore (Engine.consolidate engine);
+          let plan = Engine.plan engine in
           let fleet = Allocation.num_vms plan.allocation in
           total :=
             !total

@@ -260,7 +260,7 @@ let retarget t ?dirty (p' : Problem.t) =
                ~ev:(Workload.event_rate old_w topic) ~subscriber:v);
           Arena.Int_table.remove t.homes key
         end
-        (* not placed: tolerated, as Reprovision always did *))
+        (* not placed: tolerated *))
       !removals;
     (* Re-price the fleet if any surviving topic's rate moved. *)
     let old_rates = Workload.event_rates old_w in
@@ -409,4 +409,133 @@ let fail t ~failed =
     vms_lost = Array.length old_vms - !survivors;
     pairs_rehomed = !pairs_rehomed;
     vms_added = Allocation.num_vms a - before_placement;
+  }
+
+(* Can [src]'s whole content move into the other VMs? Plan against a
+   snapshot of their free capacities and topic presence; commit only on a
+   complete drain so bandwidth never grows without freeing the VM. *)
+let plan_drain (p : Problem.t) a src =
+  let w = p.Problem.workload in
+  let eps = Problem.epsilon p in
+  (* Only non-empty peers may receive: refilling a previously drained VM
+     would undo the work, and excluding empties guarantees every
+     successful drain strictly shrinks the set of occupied VMs (so the
+     outer loop terminates). *)
+  let others =
+    Array.of_list
+      (List.filter
+         (fun vm ->
+           Allocation.vm_id vm <> Allocation.vm_id src && Allocation.num_pairs_on vm > 0)
+         (Array.to_list (Allocation.vms a)))
+  in
+  let free = Array.map (fun vm -> Allocation.free a vm) others in
+  let groups =
+    List.map
+      (fun topic ->
+        (topic, Array.of_list (Allocation.subscribers_of_topic_on src topic)))
+      (Allocation.topics_on src)
+  in
+  (* Smallest groups (by outgoing volume) first, then by topic id. *)
+  let groups =
+    let vol (t, s) = float_of_int (Array.length s) *. Workload.event_rate w t in
+    List.sort
+      (fun ((ta, _) as a) ((tb, _) as b) -> compare (vol a, ta) (vol b, tb))
+      groups
+  in
+  let hosts = Hashtbl.create 64 in
+  Array.iteri
+    (fun i vm ->
+      List.iter (fun t -> Hashtbl.replace hosts (i, t) ()) (Allocation.topics_on vm))
+    others;
+  let moves = ref [] in
+  let ok = ref true in
+  List.iter
+    (fun (topic, subs) ->
+      if !ok then begin
+        let ev = Workload.event_rate w topic in
+        let n = Array.length subs in
+        let from = ref 0 in
+        while !from < n && !ok do
+          (* Most free first among those that can take a pair. *)
+          let best = ref (-1) in
+          Array.iteri
+            (fun i _ ->
+              let incoming = if Hashtbl.mem hosts (i, topic) then 0. else ev in
+              if free.(i) +. eps -. incoming >= ev then
+                match !best with
+                | -1 -> best := i
+                | b -> if free.(i) > free.(b) then best := i)
+            others;
+          match !best with
+          | -1 -> ok := false
+          | i ->
+              let incoming = if Hashtbl.mem hosts (i, topic) then 0. else ev in
+              let k =
+                min (n - !from)
+                  (int_of_float (floor ((free.(i) +. eps -. incoming) /. ev)))
+              in
+              free.(i) <- free.(i) -. (float_of_int k *. ev) -. incoming;
+              Hashtbl.replace hosts (i, topic) ();
+              moves := (Allocation.vm_id others.(i), topic, ev, subs, !from, k) :: !moves;
+              from := !from + k
+        done
+      end)
+    groups;
+  if !ok then Some !moves else None
+
+let consolidate ?(max_moves = 10_000) t =
+  let p = t.problem in
+  let capacity = p.Problem.capacity and w = p.Problem.workload in
+  (* Drain a clone: plans handed out by [plan] share the live fleet. *)
+  let a = clone_allocation ~capacity w t.allocation in
+  let moved = ref 0 in
+  let drained = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    continue_ := false;
+    (* Least-loaded non-empty VM that fully drains. *)
+    let candidates =
+      Array.to_list (Allocation.vms a)
+      |> List.filter (fun vm -> Allocation.num_pairs_on vm > 0)
+      |> List.sort (fun x y -> compare (Allocation.load x) (Allocation.load y))
+    in
+    let rec try_candidates = function
+      | [] -> ()
+      | src :: rest -> (
+          if Allocation.num_pairs_on src + !moved > max_moves then try_candidates rest
+          else
+            match plan_drain p a src with
+            | None -> try_candidates rest
+            | Some moves ->
+                List.iter
+                  (fun (target_id, topic, ev, subs, from, k) ->
+                    for i = from to from + k - 1 do
+                      ignore (Allocation.remove a src ~topic ~ev ~subscriber:subs.(i))
+                    done;
+                    let target = (Allocation.vms a).(target_id) in
+                    Allocation.place a target ~topic ~ev ~subscribers:subs ~from
+                      ~count:k;
+                    moved := !moved + k)
+                  moves;
+                incr drained;
+                continue_ := true)
+    in
+    try_candidates candidates
+  done;
+  if !drained > 0 then begin
+    (* Adopt the compacted fleet the way [of_plan] adopts a plan. *)
+    let compacted, _ = Allocation.compact a in
+    t.allocation <- clone_allocation ~capacity w compacted;
+    rebuild_homes t.homes t.allocation;
+    t.churned_pairs <- 0
+  end;
+  {
+    pairs_kept = 0;
+    pairs_added = 0;
+    pairs_removed = 0;
+    pairs_evicted = !moved;
+    vms_added = 0;
+    vms_removed = !drained;
+    dirty_subscribers = 0;
+    resolved = false;
   }

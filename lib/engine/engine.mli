@@ -1,6 +1,7 @@
 (** The stateful incremental planning engine — one re-solve core behind
-    [solve], [Reprovision], [Recovery.replan], and the planning service's
-    live [update] endpoint.
+    [solve], workload churn ({!apply}, {!retarget}), failure recovery
+    ({!fail}), fleet consolidation ({!consolidate}), and the planning
+    service's live [update] endpoint.
 
     The paper closes (§IV-F) by arguing the allocator is fast enough to
     "run periodically to adapt to the changes in the event rates, new
@@ -40,8 +41,7 @@ type plan = {
   selection : Mcss_core.Selection.t;
   allocation : Mcss_core.Allocation.t;
 }
-(** A deployment plan snapshot — re-exported as
-    [Mcss_dynamic.Reprovision.plan], which is an equality. *)
+(** A deployment plan snapshot. *)
 
 type change_stats = {
   pairs_kept : int;  (** Survived in place. *)
@@ -59,7 +59,8 @@ type change_stats = {
 }
 
 type recovery_stats = { vms_lost : int; pairs_rehomed : int; vms_added : int }
-(** Re-exported as [Mcss_dynamic.Recovery.stats]. *)
+(** What one {!fail} call cost: VMs lost, pairs that lived on them, and
+    fresh VMs deployed to absorb those pairs. *)
 
 type t
 
@@ -72,8 +73,8 @@ val create :
 (** Cold GSP+CBP solve ([config] defaults to {!Mcss_core.Solver.default},
     also used for drift re-solves). [drift_threshold] (default [0.5])
     is the churned-pairs fraction that triggers a full re-solve;
-    [infinity] disables drift re-solves (what the [Reprovision] wrapper
-    uses to keep its never-resolves contract). [domains] (default 1) is
+    [infinity] disables drift re-solves, so every change is answered by
+    in-place surgery and never by a cold solve. [domains] (default 1) is
     passed to every {!Mcss_core.Solver.solve} the engine runs — cold and
     drift-triggered alike — and never changes the plans produced (the
     parallel solve is bit-identical). Raises
@@ -99,22 +100,41 @@ val apply : t -> Delta.t list -> change_stats
     service replay journaled updates after a crash. *)
 
 val retarget : t -> ?dirty:bool array -> Mcss_core.Problem.t -> change_stats
-(** The re-solve core under {!apply}, exposed for the [Reprovision]
-    wrapper: adapt the engine to an explicit new problem (same
-    append-only id space). [dirty] marks the subscribers whose Stage-1
-    inputs may have changed and {b must} be a superset of them (length
-    [num_subscribers], new subscribers marked); it defaults to
-    all-dirty, which is always safe. *)
+(** The re-solve core under {!apply}: adapt the engine to an explicit
+    new problem (same append-only id space), e.g. one with a new τ.
+    [dirty] marks the subscribers whose Stage-1 inputs may have changed
+    and {b must} be a superset of them (length [num_subscribers], new
+    subscribers marked); it defaults to all-dirty, which is always safe
+    and reruns GSP for everyone. Raises {!Mcss_core.Problem.Infeasible}
+    like {!apply}. *)
 
 val fail : t -> failed:int list -> recovery_stats
 (** Treat the listed VM ids as permanently dead: survivors keep their
     placements (renumbered densely), orphaned pairs are re-placed with
     the insertion rule. Unknown ids are ignored; failing every VM
-    rebuilds from scratch. The core under [Recovery.replan]. *)
+    rebuilds from scratch, counting every pair as rehomed. The stats
+    describe this call only. Raises
+    {!Mcss_core.Problem.Infeasible} if an orphaned pair fits no VM
+    (capacity shrank, never from failure alone). *)
+
+val consolidate : ?max_moves:int -> t -> change_stats
+(** Defragment a fleet that accumulated slack through churn: repeatedly
+    try to drain the least-loaded VM into the rest of the fleet
+    (all-or-nothing per VM, so bandwidth never grows without a VM being
+    freed) until no VM can be fully drained or [max_moves] pair moves
+    (default 10_000) have been spent. The drain runs on a clone; if any
+    VM was drained, the engine adopts the compacted result exactly as
+    {!of_plan} would (homes rebuilt, {!churned_pairs} reset to 0, config,
+    drift threshold and domains kept), otherwise it is left untouched.
+    Snapshots taken earlier with {!plan} are never modified.
+    [pairs_evicted] counts the pairs moved and [vms_removed] the drained
+    VMs; every other counter is 0 and [resolved] is [false]. *)
 
 val plan : t -> plan
 (** The engine's current plan. The allocation is the engine's live one —
-    treat it as read-only while the engine stays in use. *)
+    treat it as read-only while the engine stays in use. {!apply} and
+    {!retarget} may then change it in place; {!fail} and {!consolidate}
+    replace it, so a snapshot taken before them keeps its fleet. *)
 
 val problem : t -> Mcss_core.Problem.t
 val num_vms : t -> int
@@ -132,8 +152,8 @@ val rem_v : t -> int -> float
     plan. *)
 
 val churned_pairs : t -> int
-(** Pairs added + removed since the last cold solve — the drift
-    counter. *)
+(** Pairs added + removed since the last cold solve or adopted
+    {!consolidate} — the drift counter. *)
 
 val iter_homes : t -> (topic:int -> subscriber:int -> vm:int -> unit) -> unit
 (** Iterate the current (topic, subscriber) → hosting-VM map, in no

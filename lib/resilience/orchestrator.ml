@@ -4,8 +4,7 @@ module Selection = Mcss_core.Selection
 module Allocation = Mcss_core.Allocation
 module Verifier = Mcss_core.Verifier
 module Simulator = Mcss_sim.Simulator
-module Reprovision = Mcss_dynamic.Reprovision
-module Recovery = Mcss_dynamic.Recovery
+module Engine = Mcss_engine.Engine
 module Rng = Mcss_prng.Rng
 module Registry = Mcss_obs.Registry
 module Span = Mcss_obs.Span
@@ -43,7 +42,7 @@ let default_policy =
   }
 
 type outcome = {
-  plan : Reprovision.plan;
+  plan : Engine.plan;
   sla : Sla.report;
   epoch_log : Sla.epoch list;
   repairs : int;
@@ -91,8 +90,8 @@ let sum = Array.fold_left ( + ) 0
 (* Rebuild the fleet without [failed], re-homing orphans best
    benefit-cost ratio first onto survivor free capacity plus at most
    [allowed] fresh VMs; whatever is left over is shed. *)
-let rebuild_degraded (plan : Reprovision.plan) ~failed ~allowed =
-  let p = plan.Reprovision.problem in
+let rebuild_degraded (plan : Engine.plan) ~failed ~allowed =
+  let p = plan.Engine.problem in
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let failed = List.sort_uniq compare failed in
@@ -108,7 +107,7 @@ let rebuild_degraded (plan : Reprovision.plan) ~failed ~allowed =
             Allocation.place fresh nvm ~topic:t ~ev:(Workload.event_rate w t)
               ~subscribers:[| v |] ~from:0 ~count:1)
       end)
-    (Allocation.vms plan.Reprovision.allocation);
+    (Allocation.vms plan.Engine.allocation);
   let ratio (t, v) =
     Selection.benefit_cost_ratio ~ev:(Workload.event_rate w t) ~rem:(Problem.tau_v p v)
   in
@@ -141,7 +140,7 @@ let rebuild_degraded (plan : Reprovision.plan) ~failed ~allowed =
           end
           else shed := (t, v) :: !shed)
     orphans;
-  ({ plan with Reprovision.allocation = fresh }, List.rev !shed, !added)
+  ({ plan with Engine.allocation = fresh }, List.rev !shed, !added)
 
 let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
     ?(log = fun _ -> ()) ~campaign p =
@@ -150,7 +149,7 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
   Failure_model.validate campaign;
   let logf fmt = Printf.ksprintf log fmt in
   let rng = Rng.create (policy.seed lxor campaign.Failure_model.seed) in
-  let plan = ref (Reprovision.initial p) in
+  let plan = ref (Engine.plan (Engine.create p)) in
   let w = p.Problem.workload in
   let num_subs = Workload.num_subscribers w in
   let eps = Problem.epsilon p in
@@ -158,7 +157,7 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
   let faults = Array.of_list campaign.Failure_model.faults in
   let fired = Array.make (Array.length faults) false in
   let active = ref [] in
-  let counters = ref (Array.make (Allocation.num_vms (!plan).Reprovision.allocation) 0) in
+  let counters = ref (Array.make (Allocation.num_vms (!plan).Engine.allocation) 0) in
   let sla = Sla.create () in
   let repairs = ref 0
   and attempts = ref 0
@@ -191,12 +190,12 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
             Some
               { o with vm = o.vm - List.length (List.filter (fun f -> f < o.vm) failed_ids) })
         !active;
-    counters := Array.make (Allocation.num_vms (!plan).Reprovision.allocation) 0
+    counters := Array.make (Allocation.num_vms (!plan).Engine.allocation) 0
   in
   for e = 0 to policy.epochs - 1 do
     Span.with_ obs ~name:"epoch" @@ fun () ->
     let t0 = float_of_int e *. d and t1 = float_of_int (e + 1) *. d in
-    let a = (!plan).Reprovision.allocation in
+    let a = (!plan).Engine.allocation in
     let n = Allocation.num_vms a in
     Array.iteri
       (fun i f ->
@@ -252,7 +251,10 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
         let decision =
           try
             let candidate, stats =
-              Span.with_ obs ~name:"replan" (fun () -> Recovery.replan !plan ~failed:suspects)
+              Span.with_ obs ~name:"replan" (fun () ->
+                  (* [of_plan] clones: [!plan] survives a rejected repair. *)
+                  let eng = Engine.of_plan ~drift_threshold:infinity !plan in
+                  (eng, Engine.fail eng ~failed:suspects))
             in
             let survivor_cost =
               Problem.cost p
@@ -263,19 +265,19 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
                        (fun acc id -> acc +. Allocation.load (Allocation.vms a).(id))
                        0. suspects)
             in
-            let extra_rate = Reprovision.cost candidate -. survivor_cost in
+            let extra_rate = Engine.cost candidate -. survivor_cost in
             let penalty_rate =
               policy.penalty_usd_per_violation_hour *. float_of_int violations
             in
             if extra_rate > penalty_rate then `Degrade 0
-            else if stats.Recovery.vms_added > budget_left then `Degrade budget_left
+            else if stats.Engine.vms_added > budget_left then `Degrade budget_left
             else `Full (candidate, stats)
           with Problem.Infeasible m -> `Infeasible m
         in
         match decision with
         | `Full (candidate, stats) ->
-            plan := candidate;
-            vms_added := !vms_added + stats.Recovery.vms_added;
+            plan := Engine.plan candidate;
+            vms_added := !vms_added + stats.Engine.vms_added;
             incr repairs;
             repaired := true;
             failures := 0;
@@ -288,8 +290,8 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
             | None -> ());
             remap_after_repair suspects;
             logf "epoch %d: repaired — %d VM(s) replaced by %d fresh, %d pairs re-homed"
-              e stats.Recovery.vms_lost stats.Recovery.vms_added
-              stats.Recovery.pairs_rehomed
+              e stats.Engine.vms_lost stats.Engine.vms_added
+              stats.Engine.pairs_rehomed
         | `Degrade allowed ->
             let candidate, newly_shed, added =
               rebuild_degraded !plan ~failed:suspects ~allowed
@@ -336,7 +338,7 @@ let run ?(obs = Registry.noop) ?(policy = default_policy) ?(zones = 1)
       Error (Printf.sprintf "degraded: %d pair(s) shed" (List.length !shed))
     else
       let r =
-        Verifier.verify p (!plan).Reprovision.selection (!plan).Reprovision.allocation
+        Verifier.verify p (!plan).Engine.selection (!plan).Engine.allocation
       in
       match r.Verifier.violations with
       | [] -> Ok ()

@@ -14,9 +14,9 @@
 
     A VM suspected dead for [hysteresis] consecutive epochs (flapping
     guard) while subscribers are in violation triggers a repair:
-    {!Mcss_dynamic.Recovery.replan} is consulted, and its plan adopted
-    if it stays within the [max_new_vms] budget and its extra hourly
-    cost does not exceed the SLA penalty rate
+    {!Mcss_engine.Engine.fail} is run on a copy of the plan, and its
+    result adopted if it stays within the [max_new_vms] budget and its
+    extra hourly cost does not exceed the SLA penalty rate
     ([penalty_usd_per_violation_hour · violations]). Otherwise the
     orchestrator enters {e degraded mode}: survivors keep their pairs,
     orphans are re-homed best benefit-cost ratio first onto remaining
@@ -25,7 +25,7 @@
     Attempts that end degraded or infeasible arm an exponential backoff
     (with seeded jitter) before the next attempt.
 
-    Repairs renumber the fleet ({!Mcss_dynamic.Recovery.replan} packs
+    Repairs renumber the fleet ({!Mcss_engine.Engine.fail} packs
     survivor ids); pending outage windows follow the surviving VMs and
     windows on replaced VMs die with them. Campaign faults always name
     fleet slots {e at the moment they strike}. *)
@@ -53,7 +53,7 @@ val default_policy : policy
     $50 per violation-hour. *)
 
 type outcome = {
-  plan : Mcss_dynamic.Reprovision.plan;  (** The plan after the drill. *)
+  plan : Mcss_engine.Engine.plan;  (** The plan after the drill. *)
   sla : Sla.report;
   epoch_log : Sla.epoch list;
   repairs : int;  (** Full repairs adopted. *)

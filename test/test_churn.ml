@@ -1,7 +1,7 @@
 (* Tests for the churn model and the billing-term pricing extension. *)
 
 module Workload = Mcss_workload.Workload
-module Delta = Mcss_dynamic.Delta
+module Delta = Mcss_engine.Delta
 module Churn = Mcss_dynamic.Churn
 module Billing = Mcss_pricing.Billing
 module Cost_model = Mcss_pricing.Cost_model

@@ -8,8 +8,7 @@ module Workload = Mcss_workload.Workload
 module Problem = Mcss_core.Problem
 module Allocation = Mcss_core.Allocation
 module Simulator = Mcss_sim.Simulator
-module Reprovision = Mcss_dynamic.Reprovision
-module Recovery = Mcss_dynamic.Recovery
+module Engine = Mcss_engine.Engine
 module Json = Mcss_serve.Json
 module Wire = Mcss_dataplane.Wire
 module Cluster = Mcss_dataplane.Cluster
@@ -56,9 +55,9 @@ let fleet_problem () =
     Helpers.random_problem rng ~num_topics:10 ~num_subscribers:16 ~max_rate:20
       ~max_interests:3 ~tau:30. ~capacity:120.
   in
-  let plan = Reprovision.initial p in
+  let plan = Engine.plan (Engine.create p) in
   check_bool "fixture spans several VMs" true
-    (Allocation.num_vms plan.Reprovision.allocation >= 2);
+    (Allocation.num_vms plan.Engine.allocation >= 2);
   (p, plan)
 
 (* ----- wire codec ----- *)
@@ -92,7 +91,7 @@ let test_wire_roundtrip () =
 
 let test_rehome_set_semantics () =
   let p, plan = fleet_problem () in
-  with_fleet p plan.Reprovision.allocation (fun cluster ->
+  with_fleet p plan.Engine.allocation (fun cluster ->
       let addr =
         match Cluster.address cluster 0 with
         | Some a -> a
@@ -142,9 +141,9 @@ let test_rehome_set_semantics () =
 
 let test_reconcile_zero_fault () =
   let p, plan = fleet_problem () in
-  with_fleet p plan.Reprovision.allocation (fun cluster ->
+  with_fleet p plan.Engine.allocation (fun cluster ->
       let config = { Pump.default_config with tolerance = Some 0. } in
-      let r = Pump.run ~config cluster p plan.Reprovision.allocation in
+      let r = Pump.run ~config cluster p plan.Engine.allocation in
       check_bool "pump quiesced" true r.Pump.quiesced;
       check_int "no send failures" 0 r.Pump.publisher.Mcss_dataplane.Publisher.send_failures;
       check_int "no drops" 0 r.Pump.totals.Mcss_report.Delivery.dropped;
@@ -162,9 +161,9 @@ let test_reconcile_zero_fault () =
 
 let test_kill_replan_recover () =
   let p, plan = fleet_problem () in
-  with_fleet p plan.Reprovision.allocation (fun cluster ->
+  with_fleet p plan.Engine.allocation (fun cluster ->
       let exact = { Pump.default_config with tolerance = Some 0. } in
-      let a0 = plan.Reprovision.allocation in
+      let a0 = plan.Engine.allocation in
       let before = Pump.run ~config:exact cluster p a0 in
       check_bool "healthy phase reconciles" true
         (match before.Pump.reconcile with
@@ -187,15 +186,17 @@ let test_kill_replan_recover () =
         (outage.Pump.totals.Mcss_report.Delivery.delivered
         < before.Pump.totals.Mcss_report.Delivery.delivered);
       (* Replan around the failure and converge the fleet onto it. *)
-      let plan', rstats = Recovery.replan plan ~failed:[ victim ] in
+      let eng = Engine.of_plan ~drift_threshold:infinity plan in
+      let rstats = Engine.fail eng ~failed:[ victim ] in
       check_bool "replan rehomed the orphans" true
-        (rstats.Recovery.pairs_rehomed > 0);
-      let stats = Cluster.apply_plan cluster plan'.Reprovision.allocation in
+        (rstats.Engine.pairs_rehomed > 0);
+      let a1 = (Engine.plan eng).Engine.allocation in
+      let stats = Cluster.apply_plan cluster a1 in
       check_bool "apply_plan clean" true (stats.Cluster.errors = []);
       check_bool "orphans re-homed onto the fleet" true
         (stats.Cluster.pairs_added > 0);
       (* Recovered fleet must reconcile exactly against the new plan. *)
-      let after = Pump.run ~config:exact cluster p plan'.Reprovision.allocation in
+      let after = Pump.run ~config:exact cluster p a1 in
       match after.Pump.reconcile with
       | None -> Alcotest.fail "reconciliation did not run"
       | Some rc ->
@@ -222,7 +223,7 @@ let move_topic p a ~topic ~to_vm =
 
 let test_e2e_concurrent_rehome () =
   let p, plan = fleet_problem () in
-  let a0 = plan.Reprovision.allocation in
+  let a0 = plan.Engine.allocation in
   let w = p.Problem.workload in
   with_fleet p a0 (fun cluster ->
       let sinks =

@@ -1,12 +1,14 @@
-(* Tests for workload deltas and incremental re-provisioning. *)
+(* Tests for workload deltas and the engine's whole-problem paths:
+   all-dirty re-provisioning ([Engine.retarget] with drift re-solves off)
+   and consolidation. *)
 
 module Workload = Mcss_workload.Workload
 module Problem = Mcss_core.Problem
 module Selection = Mcss_core.Selection
 module Allocation = Mcss_core.Allocation
 module Verifier = Mcss_core.Verifier
-module Delta = Mcss_dynamic.Delta
-module Reprovision = Mcss_dynamic.Reprovision
+module Delta = Mcss_engine.Delta
+module Engine = Mcss_engine.Engine
 
 let base () =
   Helpers.workload ~rates:[ 20.; 10.; 5. ] ~interests:[ [ 0; 1 ]; [ 1; 2 ]; [ 2 ] ]
@@ -68,57 +70,56 @@ let problem_for w =
   Problem.create ~workload:w ~tau:25. ~capacity:120.
     (Problem.linear_costs ~vm_usd:10. ~per_event_usd:0.001)
 
-let valid_plan (plan : Reprovision.plan) =
-  Verifier.is_valid
-    (Verifier.verify plan.Reprovision.problem plan.Reprovision.selection
-       plan.Reprovision.allocation)
+let valid eng =
+  let { Engine.problem; selection; allocation } = Engine.plan eng in
+  Verifier.is_valid (Verifier.verify problem selection allocation)
+
+(* Drift re-solves off: every retarget is in-place surgery. *)
+let surgery_engine p = Engine.create ~drift_threshold:infinity p
 
 let test_noop_reprovision_zero_churn () =
   let p = problem_for (base ()) in
-  let plan = Reprovision.initial p in
-  let plan', stats = Reprovision.reprovision ~previous:plan p in
-  Helpers.check_bool "valid" true (valid_plan plan');
-  Helpers.check_int "nothing added" 0 stats.Reprovision.pairs_added;
-  Helpers.check_int "nothing removed" 0 stats.Reprovision.pairs_removed;
-  Helpers.check_int "nothing evicted" 0 stats.Reprovision.pairs_evicted;
-  Helpers.check_float "same cost" (Reprovision.cost plan) (Reprovision.cost plan')
+  let eng = surgery_engine p in
+  let cost = Engine.cost eng in
+  let stats = Engine.retarget eng p in
+  Helpers.check_bool "valid" true (valid eng);
+  Helpers.check_int "nothing added" 0 stats.Engine.pairs_added;
+  Helpers.check_int "nothing removed" 0 stats.Engine.pairs_removed;
+  Helpers.check_int "nothing evicted" 0 stats.Engine.pairs_evicted;
+  Helpers.check_float "same cost" cost (Engine.cost eng)
 
 let test_subscribe_reprovision () =
   let w = base () in
-  let p = problem_for w in
-  let plan = Reprovision.initial p in
+  let eng = surgery_engine (problem_for w) in
   let w' = Delta.apply w [ Delta.Subscribe { subscriber = 2; topic = 0 } ] in
-  let p' = problem_for w' in
-  let plan', stats = Reprovision.reprovision ~previous:plan p' in
-  Helpers.check_bool "valid" true (valid_plan plan');
+  let stats = Engine.retarget eng (problem_for w') in
+  Helpers.check_bool "valid" true (valid eng);
   (* Subscriber 2's tau_v rose from 5 to 25, so it needs more pairs. *)
-  Helpers.check_bool "pairs were added" true (stats.Reprovision.pairs_added > 0);
-  Helpers.check_bool "old pairs kept in place" true (stats.Reprovision.pairs_kept > 0)
+  Helpers.check_bool "pairs were added" true (stats.Engine.pairs_added > 0);
+  Helpers.check_bool "old pairs kept in place" true (stats.Engine.pairs_kept > 0)
 
 let test_rate_increase_forces_eviction () =
   (* Tight capacity, then triple one topic's rate: its VM must overflow
      and shed pairs. *)
   let w = Helpers.workload ~rates:[ 30.; 30. ] ~interests:[ [ 0 ]; [ 0 ]; [ 1 ] ] in
   let tight tau w = Problem.create ~workload:w ~tau ~capacity:130. Problem.unit_costs in
-  let p = tight 30. w in
-  let plan = Reprovision.initial p in
+  let eng = surgery_engine (tight 30. w) in
   let w' = Delta.apply w [ Delta.Rate_change { topic = 0; rate = 60. } ] in
-  let p' = tight 30. w' in
-  let plan', stats = Reprovision.reprovision ~previous:plan p' in
-  Helpers.check_bool "valid after eviction" true (valid_plan plan');
+  let stats = Engine.retarget eng (tight 30. w') in
+  Helpers.check_bool "valid after eviction" true (valid eng);
   Helpers.check_bool "something moved" true
-    (stats.Reprovision.pairs_evicted > 0 || stats.Reprovision.vms_added > 0)
+    (stats.Engine.pairs_evicted > 0 || stats.Engine.vms_added > 0)
 
 let test_unsubscribe_can_shrink_fleet () =
   let w = Helpers.workload ~rates:[ 50.; 50. ] ~interests:[ [ 0 ]; [ 1 ] ] in
   let problem w = Problem.create ~workload:w ~tau:50. ~capacity:110. Problem.unit_costs in
-  let plan = Reprovision.initial (problem w) in
-  Helpers.check_int "two VMs initially" 2 (Allocation.num_vms plan.Reprovision.allocation);
+  let eng = surgery_engine (problem w) in
+  Helpers.check_int "two VMs initially" 2 (Engine.num_vms eng);
   let w' = Delta.apply w [ Delta.Unsubscribe { subscriber = 1; topic = 1 } ] in
-  let plan', stats = Reprovision.reprovision ~previous:plan (problem w') in
-  Helpers.check_bool "valid" true (valid_plan plan');
-  Helpers.check_int "one VM dropped" 1 stats.Reprovision.vms_removed;
-  Helpers.check_int "fleet shrank" 1 (Allocation.num_vms plan'.Reprovision.allocation)
+  let stats = Engine.retarget eng (problem w') in
+  Helpers.check_bool "valid" true (valid eng);
+  Helpers.check_int "one VM dropped" 1 stats.Engine.vms_removed;
+  Helpers.check_int "fleet shrank" 1 (Engine.num_vms eng)
 
 (* Random delta streams: every intermediate plan must verify, and churn
    must stay no larger than the full pair population. *)
@@ -166,15 +167,14 @@ let prop_reprovision_always_valid =
                ~max_interests:4)
       in
       let problem w = Problem.create ~workload:w ~tau:30. ~capacity:200. Problem.unit_costs in
-      let plan = ref (Reprovision.initial (problem !w)) in
-      let ok = ref (valid_plan !plan) in
+      let eng = surgery_engine (problem !w) in
+      let ok = ref (valid eng) in
       for _ = 1 to steps do
         if !ok then begin
           let delta = random_delta rng !w in
           w := Delta.apply !w [ delta ];
-          let plan', _stats = Reprovision.reprovision ~previous:!plan (problem !w) in
-          plan := plan';
-          ok := valid_plan plan'
+          ignore (Engine.retarget eng (problem !w));
+          ok := valid eng
         end
       done;
       !ok)
@@ -190,26 +190,26 @@ let prop_reprovision_cost_tracks_cold_solve =
                ~max_interests:4)
       in
       let problem w = Problem.create ~workload:w ~tau:30. ~capacity:200. Problem.unit_costs in
-      let plan = ref (Reprovision.initial (problem !w)) in
+      let eng = surgery_engine (problem !w) in
       for _ = 1 to steps do
         let delta = random_delta rng !w in
         w := Delta.apply !w [ delta ];
-        let plan', _ = Reprovision.reprovision ~previous:!plan (problem !w) in
-        plan := plan'
+        ignore (Engine.retarget eng (problem !w))
       done;
       let cold = Mcss_core.Solver.solve (problem !w) in
-      Reprovision.cost !plan <= (2. *. cold.Mcss_core.Solver.cost) +. 1e-9)
+      Engine.cost eng <= (2. *. cold.Mcss_core.Solver.cost) +. 1e-9)
 
 let prop_reprovision_idempotent =
   Helpers.qtest ~count:40 "a second reprovision against the same problem is a no-op"
     Helpers.problem_arbitrary (fun p ->
-      let plan = Reprovision.initial p in
-      let plan1, _ = Reprovision.reprovision ~previous:plan p in
-      let plan2, stats = Reprovision.reprovision ~previous:plan1 p in
-      stats.Reprovision.pairs_added = 0
-      && stats.Reprovision.pairs_removed = 0
-      && stats.Reprovision.pairs_evicted = 0
-      && Float.abs (Reprovision.cost plan2 -. Reprovision.cost plan1) < 1e-9)
+      let eng = surgery_engine p in
+      ignore (Engine.retarget eng p);
+      let cost1 = Engine.cost eng in
+      let stats = Engine.retarget eng p in
+      stats.Engine.pairs_added = 0
+      && stats.Engine.pairs_removed = 0
+      && stats.Engine.pairs_evicted = 0
+      && Float.abs (Engine.cost eng -. cost1) < 1e-9)
 
 let test_consolidate_drains_fragmented_fleet () =
   (* Hand-build a fragmented plan: three half-empty VMs that fit in two. *)
@@ -225,14 +225,13 @@ let test_consolidate_drains_fragmented_fleet () =
       Allocation.place a vm ~topic ~ev:10. ~subscribers:[| i |] ~from:0 ~count:1)
     [ 0; 1; 2 ];
   let selection = Mcss_core.Selection.gsp p in
-  let plan = { Reprovision.problem = p; selection; allocation = a } in
-  let plan', stats = Reprovision.consolidate plan in
-  Helpers.check_bool "fewer VMs" true
-    (Allocation.num_vms plan'.Reprovision.allocation < 3);
-  Helpers.check_bool "drained counted" true (stats.Reprovision.vms_removed >= 1);
-  Helpers.check_bool "moves counted" true (stats.Reprovision.pairs_evicted >= 1);
-  Helpers.check_bool "still valid" true (valid_plan plan');
-  (* The input plan was not mutated. *)
+  let eng = Engine.of_plan { Engine.problem = p; selection; allocation = a } in
+  let stats = Engine.consolidate eng in
+  Helpers.check_bool "fewer VMs" true (Engine.num_vms eng < 3);
+  Helpers.check_bool "drained counted" true (stats.Engine.vms_removed >= 1);
+  Helpers.check_bool "moves counted" true (stats.Engine.pairs_evicted >= 1);
+  Helpers.check_bool "still valid" true (valid eng);
+  (* The adopted plan was not mutated. *)
   Helpers.check_int "input untouched" 3 (Allocation.num_vms a)
 
 let test_consolidate_respects_move_budget () =
@@ -247,17 +246,18 @@ let test_consolidate_respects_move_budget () =
       Allocation.place a vm ~topic ~ev:10. ~subscribers:[| i |] ~from:0 ~count:1)
     [ 0; 1; 2 ];
   let selection = Mcss_core.Selection.gsp p in
-  let plan = { Reprovision.problem = p; selection; allocation = a } in
-  let _, stats = Reprovision.consolidate ~max_moves:0 plan in
-  Helpers.check_int "nothing moved" 0 stats.Reprovision.pairs_evicted
+  let eng = Engine.of_plan { Engine.problem = p; selection; allocation = a } in
+  let stats = Engine.consolidate ~max_moves:0 eng in
+  Helpers.check_int "nothing moved" 0 stats.Engine.pairs_evicted;
+  Helpers.check_int "fleet kept" 3 (Engine.num_vms eng)
 
 let prop_consolidate_preserves_validity =
   Helpers.qtest ~count:50 "consolidation keeps plans valid and never grows the fleet"
     Helpers.problem_arbitrary (fun p ->
-      let plan = Reprovision.initial p in
-      let before = Allocation.num_vms plan.Reprovision.allocation in
-      let plan', _ = Reprovision.consolidate plan in
-      valid_plan plan' && Allocation.num_vms plan'.Reprovision.allocation <= before)
+      let eng = Engine.create p in
+      let before = Engine.num_vms eng in
+      ignore (Engine.consolidate eng);
+      valid eng && Engine.num_vms eng <= before)
 
 let test_solution_stats () =
   let module S = Mcss_core.Solution_stats in

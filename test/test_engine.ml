@@ -12,7 +12,6 @@ module Engine = Mcss_engine.Engine
 module Delta = Mcss_engine.Delta
 module Delta_io = Mcss_engine.Delta_io
 module Churn = Mcss_dynamic.Churn
-module Reprovision = Mcss_dynamic.Reprovision
 
 let costs = Problem.linear_costs ~vm_usd:36. ~per_event_usd:0.001
 
@@ -118,6 +117,7 @@ let test_delta_apply_rejects_inconsistency () =
   rejects "subscriber out of range" [ Delta.Subscribe { subscriber = 9; topic = 1 } ];
   rejects "non-positive rate" [ Delta.Rate_change { topic = 0; rate = 0. } ];
   rejects "duplicate interests" [ Delta.New_subscriber { interests = [| 1; 1 |] } ];
+  rejects "future id" [ Delta.Subscribe { subscriber = 0; topic = 2 } ];
   (* A consistent batch touching everything still applies. *)
   let w' =
     Delta.apply w
@@ -147,7 +147,8 @@ let test_fail_rehomes_orphans () =
   check_engine_valid "valid after failure" eng
 
 let prop_random_stream_stays_valid =
-  Helpers.qtest ~count:40 "any delta stream: valid plan, cost tracks Reprovision"
+  Helpers.qtest ~count:40
+    "any delta stream: valid plan, cost tracks an all-dirty retarget"
     QCheck.(pair small_int (int_bound 2))
     (fun (seed, extra_ticks) ->
       let rng = Mcss_prng.Rng.create seed in
@@ -156,21 +157,43 @@ let prop_random_stream_stays_valid =
         (* Drift disabled so both sides do pure surgery, which makes the
            cost comparison exact rather than tolerance-fudged. *)
         let eng = Engine.create ~drift_threshold:infinity p in
-        let prev = ref (Reprovision.initial p) in
+        let all_dirty = Engine.create ~drift_threshold:infinity p in
         for _ = 1 to 1 + extra_ticks do
           let w = (Engine.problem eng).Problem.workload in
           let deltas = Churn.tick rng (Churn.scaled 0.2) w in
           ignore (Engine.apply eng deltas);
-          let plan', _ =
-            Reprovision.reprovision ~previous:!prev (evolved_problem !prev.Engine.problem deltas)
-          in
-          prev := plan'
+          ignore
+            (Engine.retarget all_dirty
+               (evolved_problem (Engine.problem all_dirty) deltas))
         done;
         let { Engine.problem = p'; selection = s; allocation = a } = Engine.plan eng in
         Verifier.is_valid (Verifier.verify p' s a)
-        && Float.abs (Engine.cost eng -. Reprovision.cost !prev)
-           <= 1e-6 *. Float.max 1. (Reprovision.cost !prev)
+        && Float.abs (Engine.cost eng -. Engine.cost all_dirty)
+           <= 1e-6 *. Float.max 1. (Engine.cost all_dirty)
       with Problem.Infeasible _ -> QCheck.assume_fail ())
+
+let test_consolidate_adopts_fresh_fleet () =
+  let rng = Mcss_prng.Rng.create 23 in
+  let p = multi_vm_problem rng in
+  let eng = Engine.create ~drift_threshold:infinity p in
+  (* Lowering tau drops pairs in place and leaves the fleet fragmented. *)
+  ignore
+    (Engine.retarget eng
+       (Problem.create ~workload:p.Problem.workload ~tau:5. ~capacity:p.Problem.capacity
+          p.Problem.costs));
+  Helpers.check_bool "churn counted" true (Engine.churned_pairs eng > 0);
+  let before = Engine.plan eng in
+  let snapshot = Plan_io.to_string before.Engine.allocation in
+  let stats = Engine.consolidate eng in
+  Helpers.check_bool "drained a VM" true (stats.Engine.vms_removed > 0);
+  Alcotest.(check string)
+    "earlier snapshot untouched" snapshot
+    (Plan_io.to_string before.Engine.allocation);
+  Helpers.check_int "drift counter reset" 0 (Engine.churned_pairs eng);
+  check_engine_valid "valid after consolidation" eng;
+  let w = (Engine.problem eng).Problem.workload in
+  ignore (Engine.apply eng (Churn.tick rng (Churn.scaled 0.2) w));
+  check_engine_valid "valid after a following apply" eng
 
 let prop_drift_resolve_bitexact =
   Helpers.qtest ~count:40 "drift threshold 0: apply answers with the cold solve"
@@ -235,6 +258,8 @@ let suite =
       test_delta_apply_rejects_inconsistency;
     Alcotest.test_case "fail rehomes orphans" `Quick test_fail_rehomes_orphans;
     prop_random_stream_stays_valid;
+    Alcotest.test_case "consolidate adopts a fresh fleet" `Quick
+      test_consolidate_adopts_fresh_fleet;
     prop_drift_resolve_bitexact;
     prop_delta_io_roundtrip;
     Alcotest.test_case "delta codec rejects garbage" `Quick

@@ -7,7 +7,6 @@ module Selection = Mcss_core.Selection
 module Allocation = Mcss_core.Allocation
 module Cbp = Mcss_core.Cbp
 module Simulator = Mcss_sim.Simulator
-module Reprovision = Mcss_dynamic.Reprovision
 module Failure_model = Mcss_resilience.Failure_model
 module Orchestrator = Mcss_resilience.Orchestrator
 module Redundancy = Mcss_resilience.Redundancy
