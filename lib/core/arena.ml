@@ -250,4 +250,12 @@ module Csr = struct
           invalid_arg (Printf.sprintf "Arena.Csr.build_rows: row %d underfilled" r))
       cursor;
     { offs; data }
+
+  let of_rows rows =
+    let n = Array.length rows in
+    let offs = Array.make (n + 1) 0 in
+    Array.iteri (fun r row -> offs.(r + 1) <- offs.(r) + Array.length row) rows;
+    let data = Array.make offs.(n) 0 in
+    Array.iteri (fun r row -> Array.blit row 0 data offs.(r) (Array.length row)) rows;
+    { offs; data }
 end

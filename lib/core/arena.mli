@@ -145,4 +145,7 @@ module Csr : sig
 
   val offsets_of_counts : int array -> int array
   (** Exclusive prefix sums, length [n + 1]. *)
+
+  val of_rows : int array array -> t
+  (** The rows laid back to back, in order. *)
 end

@@ -27,6 +27,20 @@ type report = {
 }
 
 val verify : Problem.t -> Selection.t -> Allocation.t -> report
+(** Check an allocation of a selection. Violations come in this order:
+    first those found while visiting the VMs in deployment order (per
+    pair [Pair_duplicated] then [Pair_not_selected]; per VM
+    [Over_capacity] then [Load_mismatch]), then every [Pair_missing] by
+    (subscriber, topic) ascending, then every [Unsatisfied] by subscriber.
+    [Mcss_resilience.Orchestrator], which surfaces one violation, reports
+    the first.
+
+    Cost: O(pairs · log |row|), where a row is one subscriber's selected
+    topics. The selection is copied into flat arrays, a row sorted and
+    deduplicated only when it is not strictly ascending, so the check does
+    not trust [Selection.chosen] to be sorted. No allocation is made
+    per placed pair, except on the error path for pairs outside the
+    selection. *)
 
 val is_valid : report -> bool
 (** No violations. *)

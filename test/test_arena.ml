@@ -93,6 +93,8 @@ let test_csr () =
   let seen = ref [] in
   Arena.Csr.iter_row csr 2 (fun x -> seen := x :: !seen);
   Helpers.check_bool "iter_row" true (List.rev !seen = [ 30; 31; 32 ]);
+  Helpers.check_bool "of_rows builds the same" true
+    (Arena.Csr.of_rows [| [| 1; 2 |]; [||]; [| 30; 31; 32 |] |] = csr);
   (* Underfilling a row is a bug, not a silent empty slot. *)
   match
     Arena.Csr.build_rows ~rows:1 ~counts:[| 2 |] ~fill:(fun ~write ->
