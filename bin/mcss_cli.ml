@@ -28,7 +28,7 @@ module Failure_model = Mcss_resilience.Failure_model
 module Orchestrator = Mcss_resilience.Orchestrator
 module Redundancy = Mcss_resilience.Redundancy
 module Sla = Mcss_resilience.Sla
-module Serve_json = Mcss_serve.Json
+module Json = Mcss_json
 module Serve_protocol = Mcss_serve.Protocol
 module Serve_service = Mcss_serve.Service
 module Serve_server = Mcss_serve.Server
@@ -132,6 +132,12 @@ let generate_workload trace scale seed = Front.generate ?seed trace ~scale
    corrupt workload/plan file is one line on stderr and exit 1, never a
    backtrace and never silently different behaviour per subcommand. *)
 let die fmt = Printf.ksprintf (fun m -> prerr_endline ("mcss: " ^ m); exit 1) fmt
+
+(* Every JSON file the CLI writes (reports, --out) goes through here. *)
+let write_json path value =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string_pretty value);
+      output_char oc '\n')
 
 let require_scale scale =
   match Front.validate_scale scale with Ok s -> s | Error e -> die "%s" e
@@ -1848,11 +1854,7 @@ let nemesis_cmd =
       | r ->
           (match out with
           | Some path ->
-              let oc = open_out path in
-              output_string oc
-                (Serve_json.to_string (Serve_nemesis.report_to_json r));
-              output_char oc '\n';
-              close_out oc
+              write_json path (Serve_nemesis.report_to_json r)
           | None -> ());
           Printf.printf
             "nemesis seed %d: %d partitions, %d/%d updates acked, %d \
@@ -2102,44 +2104,46 @@ let pump_cmd =
     (match report_file with
     | None -> ()
     | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            let field (k, v) = Printf.sprintf "\"%s\": %d" k v in
-            let latency_json =
-              match r.Dp_pump.latency with
-              | None -> "null"
-              | Some l ->
-                  Printf.sprintf
-                    "{ \"p50_ms\": %.4f, \"p95_ms\": %.4f, \"p99_ms\": %.4f, \
-                     \"max_ms\": %.4f, \"samples\": %d }"
-                    (l.Mcss_broker.Fleet.p50 *. 1e3)
-                    (l.Mcss_broker.Fleet.p95 *. 1e3)
-                    (l.Mcss_broker.Fleet.p99 *. 1e3)
-                    (l.Mcss_broker.Fleet.max *. 1e3)
-                    l.Mcss_broker.Fleet.samples
-            in
-            let reconcile_json =
-              match r.Dp_pump.reconcile with
-              | None -> "null"
-              | Some rc ->
-                  Printf.sprintf
-                    "{ \"pass\": %b, \"max_deviation\": %.6f, \"tolerance\": \
-                     %.6f, \"subscriber_mismatches\": %d }"
-                    rc.Dp_reconcile.pass rc.Dp_reconcile.max_deviation
-                    rc.Dp_reconcile.tolerance
-                    (List.length rc.Dp_reconcile.subscriber_mismatches)
-            in
-            Printf.fprintf oc
-              "{ %s,\n  \"duplicates\": %d,\n  \"send_failures\": %d,\n  \
-               \"unrouted\": %d,\n  \"quiesced\": %b,\n  \"wall_s\": %.4f,\n  \
-               \"latency\": %s,\n  \"reconcile\": %s }\n"
-              (String.concat ", " (List.map field (Mcss_report.Delivery.fields totals)))
-              r.Dp_pump.duplicates
-              r.Dp_pump.publisher.Mcss_dataplane.Publisher.send_failures
-              r.Dp_pump.publisher.Mcss_dataplane.Publisher.unrouted
-              r.Dp_pump.quiesced r.Dp_pump.wall_s latency_json reconcile_json);
+        let ms x = Json.Float (x *. 1e3) in
+        let latency =
+          match r.Dp_pump.latency with
+          | None -> Json.Null
+          | Some l ->
+              Json.Obj
+                [
+                  ("p50_ms", ms l.Mcss_broker.Fleet.p50);
+                  ("p95_ms", ms l.Mcss_broker.Fleet.p95);
+                  ("p99_ms", ms l.Mcss_broker.Fleet.p99);
+                  ("max_ms", ms l.Mcss_broker.Fleet.max);
+                  ("samples", Json.Int l.Mcss_broker.Fleet.samples);
+                ]
+        in
+        let reconcile =
+          match r.Dp_pump.reconcile with
+          | None -> Json.Null
+          | Some rc ->
+              Json.Obj
+                [
+                  ("pass", Json.Bool rc.Dp_reconcile.pass);
+                  ("max_deviation", Json.Float rc.Dp_reconcile.max_deviation);
+                  ("tolerance", Json.Float rc.Dp_reconcile.tolerance);
+                  ( "subscriber_mismatches",
+                    Json.Int (List.length rc.Dp_reconcile.subscriber_mismatches) );
+                ]
+        in
+        let publisher = r.Dp_pump.publisher in
+        write_json path
+          (Json.Obj
+             (List.map (fun (k, v) -> (k, Json.Int v)) (Mcss_report.Delivery.fields totals)
+             @ [
+                 ("duplicates", Json.Int r.Dp_pump.duplicates);
+                 ("send_failures", Json.Int publisher.Mcss_dataplane.Publisher.send_failures);
+                 ("unrouted", Json.Int publisher.Mcss_dataplane.Publisher.unrouted);
+                 ("quiesced", Json.Bool r.Dp_pump.quiesced);
+                 ("wall_s", Json.Float r.Dp_pump.wall_s);
+                 ("latency", latency);
+                 ("reconcile", reconcile);
+               ]));
         Printf.printf "report written to %s\n" path);
     if shutdown then begin
       List.iter
@@ -2358,7 +2362,7 @@ let query_cmd =
       | `Raw line -> (
           (* Raw lines bypass the protocol codec, so they also bypass
              the retry layer (we cannot tell if they are idempotent). *)
-          match Serve_json.parse line with
+          match Json.parse line with
           | Error m -> Error ("request is not valid JSON: " ^ m)
           | Ok j ->
               Serve_client.with_connection address (fun c ->
@@ -2384,11 +2388,11 @@ let query_cmd =
     | Ok reply ->
         if Serve_protocol.response_ok reply then begin
           (match
-             (verb, Serve_json.member "body" reply
-                    |> Fun.flip Option.bind Serve_json.to_string_opt)
+             (verb, Json.member "body" reply
+                    |> Fun.flip Option.bind Json.to_string_opt)
            with
           | "metrics", Some body -> print_string body
-          | _ -> print_endline (Serve_json.to_string reply));
+          | _ -> print_endline (Json.to_string reply));
           if Serve_protocol.response_degraded reply then begin
             prerr_endline "mcss query: degraded reply (stale plan served)";
             exit 2
@@ -2410,7 +2414,7 @@ let query_cmd =
                 prerr_endline "mcss query: request failed";
                 None
           in
-          print_endline (Serve_json.to_string reply);
+          print_endline (Json.to_string reply);
           match code with
           | Some Serve_protocol.Degraded | Some Serve_protocol.Overloaded -> exit 2
           | Some Serve_protocol.No_quorum -> exit 3

@@ -13,13 +13,6 @@ type t = {
 let benefit_cost_ratio ~ev ~rem =
   if rem > 0. then Float.min 1. (ev /. rem) /. (2. *. ev) else 0.
 
-(* Both GSP implementations order candidates by the exact key
-   (max(ev_t, rem_v), topic id), ascending: minimising max(ev, rem) is
-   the same as maximising the Alg. 1 ratio min(1, ev/rem) / (2 ev) =
-   1 / (2 max(ev, rem)), but comparing the key avoids float-division
-   rounding breaking mathematically exact ties. *)
-let gsp_key ~ev ~rem = Float.max ev rem
-
 (* Per-run Stage-1 work counts, accumulated in plain mutable ints on the
    hot path and flushed to the registry once per selection (so the
    enabled-path overhead stays a handful of integer writes per
@@ -71,46 +64,6 @@ let build ~workload per_subscriber =
     num_pairs = !num_pairs;
     outgoing_rate = !outgoing_rate;
   }
-
-(* Literal Alg. 2 for one subscriber: after every pick, re-derive every
-   remaining candidate's ratio from the current remainder and rescan for
-   the argmax (lowest topic id on ties). Quadratic in |T_v|. *)
-let gsp_reference_subscriber w ~tau ~eps ~counts v =
-  let tv = Workload.interests w v in
-  let k = Array.length tv in
-  let tau_v = Workload.tau_v w ~tau v in
-  let selected = Array.make k false in
-  let picked = ref [] in
-  let sum = ref 0. in
-  while !sum < tau_v -. eps do
-    let rem = tau_v -. !sum in
-    let best = ref (-1) in
-    let best_key = ref infinity in
-    for i = 0 to k - 1 do
-      if not selected.(i) then begin
-        counts.considered <- counts.considered + 1;
-        let key = gsp_key ~ev:(Workload.event_rate w tv.(i)) ~rem in
-        if key < !best_key then begin
-          best_key := key;
-          best := i
-        end
-      end
-    done;
-    (* τ_v <= Σ_{t∈T_v} ev_t guarantees a candidate remains. *)
-    assert (!best >= 0);
-    selected.(!best) <- true;
-    picked := tv.(!best) :: !picked;
-    sum := !sum +. Workload.event_rate w tv.(!best)
-  done;
-  (Array.of_list !picked, !sum)
-
-let gsp_reference ?(obs = Registry.noop) (p : Problem.t) =
-  let w = p.Problem.workload in
-  let eps = Problem.epsilon p in
-  let counts = new_counts () in
-  let s = build ~workload:w (gsp_reference_subscriber w ~tau:p.Problem.tau ~eps ~counts) in
-  flush_stage1 obs s counts;
-  s
 
 (* O(|T_v| log |T_v|) GSP for one subscriber.
 
@@ -249,28 +202,23 @@ let gsp_subscriber w ~tau ~eps ~counts ~scratch:s v =
     (Arena.Ibuf.to_array s.picked, !sum)
   end
 
-let gsp ?(obs = Registry.noop) (p : Problem.t) =
-  let w = p.Problem.workload in
-  let eps = Problem.epsilon p in
-  let counts = new_counts () in
-  let scratch = gsp_scratch () in
-  let s =
-    build ~workload:w (gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts ~scratch)
-  in
-  flush_stage1 obs s counts;
-  s
-
-(* Parallel GSP: subscribers are independent, so each domain fills a
-   disjoint slice of the result arrays; the aggregate sums are folded
-   sequentially afterwards so the result is bit-identical to [gsp]. *)
-let gsp_parallel ?(obs = Registry.noop) ?domains (p : Problem.t) =
+(* Subscribers are independent, so with [domains > 1] each domain fills
+   a disjoint slice of the result arrays and the aggregate sums are
+   folded sequentially afterwards: the result is bit-identical to the
+   sequential loop at any domain count. *)
+let gsp ?(obs = Registry.noop) ?(domains = 1) (p : Problem.t) =
   let w = p.Problem.workload in
   let eps = Problem.epsilon p in
   let n = Workload.num_subscribers w in
-  let domains =
-    match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-  in
-  if domains <= 1 || n < 2 then gsp ~obs p
+  if domains <= 1 || n < 2 then begin
+    let counts = new_counts () in
+    let scratch = gsp_scratch () in
+    let s =
+      build ~workload:w (gsp_subscriber w ~tau:p.Problem.tau ~eps ~counts ~scratch)
+    in
+    flush_stage1 obs s counts;
+    s
+  end
   else begin
     let domains = min domains n in
     let chosen = Array.make n [||] in

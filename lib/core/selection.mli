@@ -2,12 +2,11 @@
     a subset of its interests whose total event rate reaches the
     subscriber-specific threshold [τ_v], minimising bandwidth.
 
-    Three selectors are provided:
+    Two selectors are provided:
     - {!gsp} — GreedySelectPairs (Alg. 2), driven by the benefit-cost ratio
-      of Alg. 1, in an O(Σ_v |T_v| log |T_v|) formulation;
-    - {!gsp_reference} — a literal transcription of Alg. 2's quadratic
-      rescan loop, kept as an executable specification (tests assert it
-      picks exactly the same sets as {!gsp});
+      of Alg. 1, in an O(Σ_v |T_v| log |T_v|) formulation (the test tree
+      keeps a literal transcription of Alg. 2's quadratic rescan loop as
+      its oracle);
     - {!rsp} — RandomSelectPairs (Alg. 6), the paper's naive baseline that
       takes interests in arbitrary order until the threshold is met.
 
@@ -29,21 +28,17 @@ type t = {
           bandwidth any allocation of this selection must carry. *)
 }
 
-val gsp : ?obs:Mcss_obs.Registry.t -> Problem.t -> t
+val gsp : ?obs:Mcss_obs.Registry.t -> ?domains:int -> Problem.t -> t
 (** GreedySelectPairs. Deterministic: ties in the benefit-cost ratio are
-    broken towards the lowest topic id, matching {!gsp_reference}.
-    [obs] (default {!Mcss_obs.Registry.noop}) receives Stage-1 work
-    counters: [stage1.subscribers], [stage1.pairs_selected],
+    broken towards the lowest topic id, exactly as Alg. 2's literal
+    rescan loop breaks them. [domains] (default 1) fans the independent
+    subscribers out over that many OCaml 5 domains; the selection is
+    {e bit-identical} at any domain count (property-tested), and values
+    <= 1 run the sequential loop. [obs] (default
+    {!Mcss_obs.Registry.noop}) receives Stage-1 work counters:
+    [stage1.subscribers], [stage1.pairs_selected],
     [stage1.candidates_considered], [stage1.eligible_set_ops] and the
     [stage1.outgoing_rate] gauge. *)
-
-val gsp_parallel : ?obs:Mcss_obs.Registry.t -> ?domains:int -> Problem.t -> t
-(** {!gsp} fanned out over OCaml 5 domains — subscribers are independent
-    in Stage 1, so the selection parallelises embarrassingly. Produces
-    {e exactly} the same selection as {!gsp} (property-tested); the
-    paper's 25-minute full-Twitter Stage 1 is the part this accelerates.
-    [domains] defaults to [Domain.recommended_domain_count ()], and
-    values <= 1 fall back to the sequential code. *)
 
 val reselect :
   ?obs:Mcss_obs.Registry.t -> Problem.t -> previous:t -> dirty:bool array -> t
@@ -57,11 +52,6 @@ val reselect :
     [num_subscribers] entries and mark every subscriber beyond
     [previous]'s range; raises [Invalid_argument] otherwise. [obs]
     receives Stage-1 counters for the re-run subscribers only. *)
-
-val gsp_reference : ?obs:Mcss_obs.Registry.t -> Problem.t -> t
-(** Literal Alg. 2: recompute every remaining ratio after each pick and
-    scan for the argmax (first maximum in topic-id order). Quadratic per
-    subscriber; use only on small instances. *)
 
 val rsp : ?obs:Mcss_obs.Registry.t -> Problem.t -> t
 (** RandomSelectPairs: interests in topic-id order until satisfied. *)

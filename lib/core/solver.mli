@@ -8,8 +8,6 @@
 
 type stage1 =
   | Gsp
-  | Gsp_parallel  (** {!Selection.gsp_parallel} over all recommended domains. *)
-  | Gsp_reference
   | Rsp
   | Global_greedy  (** The cross-subscriber extension, {!Global_greedy}. *)
 

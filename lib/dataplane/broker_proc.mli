@@ -6,7 +6,7 @@
     seeded from the plan, and a select loop multiplexing three kinds of
     peers over one listener:
 
-    - {b publishers} send [pub] batches ({!Wire.pub_line}); each event
+    - {b publishers} send [pub] batches ({!Wire.pub_request}); each event
       is ingested through the broker core and fanned out to the sinks
       attached for its locally homed subscribers. The reply is sent
       only after every copy is enqueued, so a synchronous publisher

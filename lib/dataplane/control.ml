@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json
 module Client = Mcss_serve.Client
 module Protocol = Mcss_serve.Protocol
 module Server = Mcss_serve.Server

@@ -1,4 +1,4 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json
 module Server = Mcss_serve.Server
 module Fleet = Mcss_broker.Fleet
 module Clock = Mcss_obs.Clock

@@ -1,19 +1,8 @@
-module Json = Mcss_serve.Json
+module Json = Mcss_json
 module Server = Mcss_serve.Server
 
 type event = { topic : int; seq : int; pub_ns : int }
 type delivery = { topic : int; seq : int; pub_ns : int; subscribers : int list }
-
-let pub_line events =
-  let b = Buffer.create (32 * List.length events + 24) in
-  Buffer.add_string b {|{"req":"pub","e":[|};
-  List.iteri
-    (fun i (e : event) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "[%d,%d,%d]" e.topic e.seq e.pub_ns))
-    events;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
 
 let pub_request events =
   Json.Obj
@@ -49,16 +38,15 @@ let events_of j =
           conv [] xs)
 
 let delivery_line d =
-  let b = Buffer.create 64 in
-  Buffer.add_string b
-    (Printf.sprintf {|{"t":%d,"n":%d,"p":%d,"s":[|} d.topic d.seq d.pub_ns);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int s))
-    d.subscribers;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Obj
+       [
+         ("t", Int d.topic);
+         ("n", Int d.seq);
+         ("p", Int d.pub_ns);
+         ("s", List (List.map (fun s -> Json.Int s) d.subscribers));
+       ])
+  ^ "\n"
 
 let delivery_of j =
   let field key =

@@ -16,7 +16,7 @@
     by (SEQ, subscriber) and measure end-to-end latency against its own
     clock (valid on one machine, which is where the dataplane runs). *)
 
-module Json := Mcss_serve.Json
+module Json := Mcss_json
 
 type event = { topic : int; seq : int; pub_ns : int }
 (** One publication as it rides the wire. *)
@@ -25,16 +25,15 @@ type delivery = { topic : int; seq : int; pub_ns : int; subscribers : int list }
 (** One fan-out line: the broker delivered event [seq] of [topic] to
     [subscribers] (the locally-homed pairs with an attached sink). *)
 
-val pub_line : event list -> string
-(** The publisher's batch request, newline-terminated. *)
-
 val pub_request : event list -> Json.t
-(** The same request as a JSON value (for {!Mcss_serve.Client}). *)
+(** The publisher's batch request (sent through {!Mcss_serve.Client}). *)
 
 val events_of : Json.t -> (event list, string) result
 (** Decode the ["e"] field of a pub request. *)
 
 val delivery_line : delivery -> string
+(** One fan-out line, newline-terminated. *)
+
 val delivery_of : Json.t -> (delivery, string) result
 
 val connect : Mcss_serve.Server.address -> Unix.file_descr

@@ -50,20 +50,21 @@ let rebuild_homes homes a =
       Allocation.iter_vm_pairs vm (fun topic v ->
           Arena.Int_table.set homes (home_key ~topic ~subscriber:v) id))
 
+(* Deploy a fresh VM in [dst] carrying exactly [vm]'s placements. *)
+let copy_vm w dst vm =
+  let copy = Allocation.deploy dst in
+  List.iter
+    (fun topic ->
+      let subs = Array.of_list (Allocation.subscribers_of_topic_on vm topic) in
+      Allocation.place dst copy ~topic ~ev:(Workload.event_rate w topic)
+        ~subscribers:subs ~from:0 ~count:(Array.length subs))
+    (Allocation.topics_on vm)
+
 (* Rebuild an identical fleet so adopting an external plan never lets the
    engine mutate its caller's allocation. *)
 let clone_allocation ~capacity w a =
   let fresh = Allocation.create ~capacity in
-  Array.iter
-    (fun vm ->
-      let copy = Allocation.deploy fresh in
-      List.iter
-        (fun topic ->
-          let subs = Array.of_list (Allocation.subscribers_of_topic_on vm topic) in
-          Allocation.place fresh copy ~topic ~ev:(Workload.event_rate w topic)
-            ~subscribers:subs ~from:0 ~count:(Array.length subs))
-        (Allocation.topics_on vm))
-    (Allocation.vms a);
+  Array.iter (copy_vm w fresh) (Allocation.vms a);
   fresh
 
 let of_parts ~config ~drift_threshold ~domains ~clone (plan : plan) =
@@ -392,13 +393,7 @@ let fail t ~failed =
               (v :: Option.value ~default:[] (Hashtbl.find_opt pending topic)))
       else begin
         incr survivors;
-        let copy = Allocation.deploy a in
-        List.iter
-          (fun topic ->
-            let subs = Array.of_list (Allocation.subscribers_of_topic_on vm topic) in
-            Allocation.place a copy ~topic ~ev:(Workload.event_rate w topic)
-              ~subscribers:subs ~from:0 ~count:(Array.length subs))
-          (Allocation.topics_on vm)
+        copy_vm w a vm
       end)
     old_vms;
   let before_placement = Allocation.num_vms a in

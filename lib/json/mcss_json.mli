@@ -1,11 +1,13 @@
-(** A minimal JSON value type with a strict parser and printer — just
-    enough for the planning daemon's line-delimited protocol, so the
-    serving stack stays zero-dependency.
+(** The repository's one JSON codec: a minimal value type with a strict
+    parser and printer. It is a leaf library with no dependencies, so the
+    planning daemon's line protocol, the dataplane, the metric sinks, the
+    elastic ledger, the CLI reports and every [BENCH_*.json] share one
+    encoder — and none of them can write invalid JSON.
 
     The parser accepts RFC 8259 JSON with two deliberate relaxations:
     numbers are read with [float_of_string] (so [1e999] parses to
     [infinity] rather than erroring), and top-level values other than
-    objects/arrays are allowed. The printer always emits valid JSON on
+    objects/arrays are allowed. {!to_string} always emits valid JSON on
     one line (non-finite floats become [null]), so a printed value can
     be framed by a single ['\n']. *)
 
@@ -23,7 +25,14 @@ val parse : string -> (t, string) result
     offset. Trailing whitespace is allowed, trailing garbage is not. *)
 
 val to_string : t -> string
-(** One-line rendering; strings are escaped per RFC 8259. *)
+(** One-line rendering (the wire format); strings are escaped per
+    RFC 8259 and floats print as [%.12g]. *)
+
+val to_string_pretty : t -> string
+(** The same value laid out for files people read: every non-empty
+    array and object breaks onto lines indented two spaces per level,
+    and keys are followed by [": "]. No trailing newline. Parses back
+    to the same value as {!to_string}. *)
 
 (** {2 Accessors}
 

@@ -57,12 +57,15 @@ let totals () =
 
 let reset () = locked (fun () -> Hashtbl.reset table)
 
-let to_json_object () =
-  let fields =
-    totals ()
-    |> List.map (fun (name, t) ->
-           Printf.sprintf
-             "\"%s\": { \"minor_words\": %.0f, \"major_words\": %.0f, \"samples\": %d }"
-             name t.minor_words t.major_words t.samples)
-  in
-  "{ " ^ String.concat ", " fields ^ " }"
+let to_json () =
+  Mcss_json.Obj
+    (List.map
+       (fun (name, t) ->
+         ( name,
+           Mcss_json.Obj
+             [
+               ("minor_words", Int (int_of_float t.minor_words));
+               ("major_words", Int (int_of_float t.major_words));
+               ("samples", Int t.samples);
+             ] ))
+       (totals ()))

@@ -24,8 +24,9 @@ val jsonl : Registry.t -> string
     {"type":"span","path":"solve/stage1","name":"stage1","count":1,"seconds":0.18}
     v}
 
-    Non-finite floats are emitted as [null] so every line stays strict
-    JSON. *)
+    Each line is a {!Mcss_json.t} printed by {!Mcss_json.to_string}, so
+    names are escaped per RFC 8259, floats print as [%.12g] and
+    non-finite ones as [null]: every line stays strict JSON. *)
 
 val write_jsonl : Registry.t -> path:string -> unit
 (** {!jsonl} to a file (truncates). *)

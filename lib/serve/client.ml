@@ -1,3 +1,5 @@
+module Json = Mcss_json
+
 type t = {
   fd : Unix.file_descr;
   ic : in_channel;

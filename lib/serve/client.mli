@@ -2,6 +2,8 @@
     request/reply at a time. Backs [mcss query] and the [serve] bench
     driver. *)
 
+module Json := Mcss_json
+
 type t
 
 val connect : Server.address -> (t, string) result

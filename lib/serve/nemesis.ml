@@ -1,3 +1,4 @@
+module Json = Mcss_json
 module Rng = Mcss_prng.Rng
 module Workload = Mcss_workload.Workload
 module Wio = Mcss_workload.Wio

@@ -37,6 +37,8 @@
     through {!Faulty}), so a failing run replays exactly. Backs
     [mcss nemesis] and the [partition] bench section. *)
 
+module Json := Mcss_json
+
 type config = {
   seed : int;  (** Drives victim choice and the phase shuffle. *)
   partitions : int;

@@ -1,3 +1,5 @@
+module Json = Mcss_json
+
 type solve_params = {
   tau : float;
   instance : string;

@@ -54,6 +54,8 @@
     [degraded]. [mcss query] exits with status 2 (not 1) on both shapes
     so scripts can tell "shed, retry later" from a hard error. *)
 
+module Json := Mcss_json
+
 type solve_params = {
   tau : float;  (** Satisfaction threshold (default 100). *)
   instance : string;  (** EC2 instance type name (default ["c3.large"]). *)

@@ -1,3 +1,4 @@
+module Json = Mcss_json
 module Registry = Mcss_obs.Registry
 module Counter = Mcss_obs.Metric.Counter
 

@@ -1,3 +1,4 @@
+module Json = Mcss_json
 module Workload = Mcss_workload.Workload
 module Wio = Mcss_workload.Wio
 module Registry = Mcss_obs.Registry

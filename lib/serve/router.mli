@@ -38,6 +38,8 @@
     re-resolve the member order and retry instead of surfacing the
     error. *)
 
+module Json := Mcss_json
+
 type member = { name : string; address : Server.address }
 
 type shard = { shard_name : string; members : member list }

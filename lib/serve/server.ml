@@ -1,3 +1,5 @@
+module Json = Mcss_json
+
 type address = Unix_socket of string | Tcp of string * int
 
 let address_to_string = function

@@ -9,6 +9,8 @@
     answered, the listener closes, idle connections are hung up, in-
     flight requests finish, and {!run} returns. *)
 
+module Json := Mcss_json
+
 type address =
   | Unix_socket of string  (** Filesystem path. *)
   | Tcp of string * int  (** Host (numeric or name) and port. *)

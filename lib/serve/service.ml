@@ -1,3 +1,4 @@
+module Json = Mcss_json
 module Workload = Mcss_workload.Workload
 module Wio = Mcss_workload.Wio
 module Instance = Mcss_pricing.Instance
@@ -195,13 +196,15 @@ let cache_key digest (params : Protocol.solve_params) =
 
 (* ----- problems ----- *)
 
-(* "parallel" opts a request into the multi-domain Stage-1; everything
-   else resolves through the solver's own ladder so server and CLI name
-   configurations identically. *)
+(* "parallel" is the default configuration solved over every recommended
+   domain (the plan is bit-identical, only the wall clock changes);
+   everything else resolves through the solver's own ladder so server and
+   CLI name configurations identically. *)
 let resolve_config name =
-  if name = "parallel" then
-    Some { Solver.default with Solver.stage1 = Solver.Gsp_parallel }
-  else Solver.config_of_name name
+  if name = "parallel" then Some Solver.default else Solver.config_of_name name
+
+let solve_domains name =
+  if name = "parallel" then Domain.recommended_domain_count () else 1
 
 let problem_for w (params : Protocol.solve_params) =
   match Instance.find params.Protocol.instance with
@@ -976,7 +979,9 @@ let miss t ~key ~digest ~w ~(params : Protocol.solve_params) ~deadline =
               if not (Breaker.admit t.breaker) then M_shed
               else
                 let t0 = Clock.now_ns () in
-                match Solver.solve ~config p with
+                match
+                  Solver.solve ~config ~domains:(solve_domains params.Protocol.config) p
+                with
                 | r ->
                     let seconds = Clock.seconds_since t0 in
                     let text = Plan_io.to_string r.Solver.allocation in

@@ -37,6 +37,8 @@
     drills) run outside the internal lock so concurrent workers only
     contend for microseconds. *)
 
+module Json := Mcss_json
+
 type config = {
   cache_capacity : int;  (** Plan-cache entries (default 128). *)
   max_in_flight : int;  (** Concurrent solver runs (default 4). *)

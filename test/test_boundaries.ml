@@ -72,7 +72,7 @@ let test_fractional_rates_pipeline () =
   let p = Problem.create ~workload:w ~tau:2. ~capacity:10. Problem.unit_costs in
   ignore (solve_and_verify p);
   (* The reference agrees on fractional instances too. *)
-  let a = Selection.gsp p and b = Selection.gsp_reference p in
+  let a = Selection.gsp p and b = Gsp_reference.gsp_reference p in
   Helpers.check_bool "gsp = reference on fractional rates" true
     (a.Selection.chosen = b.Selection.chosen)
 

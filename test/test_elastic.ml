@@ -16,6 +16,7 @@ module Rate_curve = Mcss_elastic.Rate_curve
 module Scenario = Mcss_elastic.Scenario
 module Autoscaler = Mcss_elastic.Autoscaler
 module Week_sim = Mcss_elastic.Week_sim
+module Json = Mcss_json
 
 let diurnal ?(amplitude = 0.4) () =
   Rate_curve.Diurnal { amplitude; period_hours = 24.; phase_hours = 0. }
@@ -373,14 +374,30 @@ let test_week_sim_ledger_parses () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Week_sim.write_ledger path result;
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      Helpers.check_bool "schema tag" true
-        (Helpers.contains ~needle:"mcss-elastic-ledger-1" text);
-      Helpers.check_bool "has policies" true (Helpers.contains ~needle:"\"policies\"" text);
-      Helpers.check_bool "has oracle" true (Helpers.contains ~needle:"\"oracle\"" text))
+      let ledger =
+        match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+        | Ok j -> j
+        | Error m -> Alcotest.failf "ledger does not parse: %s" m
+      in
+      let field k j =
+        match Json.member k j with Some v -> v | None -> Alcotest.failf "no %S field" k
+      in
+      let list j = Option.get (Json.to_list_opt j) in
+      Alcotest.(check (option string))
+        "schema tag" (Some "mcss-elastic-ledger-1")
+        (Json.to_string_opt (field "schema" ledger));
+      let slices = Option.get (Json.to_int_opt (field "slices" (field "scenario" ledger))) in
+      Alcotest.(check int) "slices" s.Scenario.slices slices;
+      let policies = list (field "policies" ledger) in
+      Alcotest.(check int) "static plus every policy"
+        (1 + List.length result.Week_sim.policies)
+        (List.length policies);
+      List.iter
+        (fun p ->
+          Alcotest.(check int) "one row per slice" slices (List.length (list (field "rows" p))))
+        policies;
+      Alcotest.(check int) "oracle fleet per slice" slices
+        (List.length (list (field "fleet" (field "oracle" ledger)))))
 
 (* ----- runtime stats (S2) ----- *)
 
@@ -390,9 +407,10 @@ let test_runtime_stats () =
     (stats.Mcss_obs.Runtime_stats.peak_rss_bytes > 0);
   Helpers.check_bool "major words sane" true
     (stats.Mcss_obs.Runtime_stats.gc_major_words >= 0.);
-  let json = Mcss_obs.Runtime_stats.to_json_object stats in
-  Helpers.check_bool "json carries the field" true
-    (Helpers.contains ~needle:"\"peak_rss_bytes\"" json)
+  let json = Mcss_obs.Runtime_stats.to_json stats in
+  Alcotest.(check (option int))
+    "json carries the field" (Some stats.Mcss_obs.Runtime_stats.peak_rss_bytes)
+    (Option.bind (Json.member "peak_rss_bytes" json) Json.to_int_opt)
 
 let suite =
   [

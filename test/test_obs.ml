@@ -6,6 +6,7 @@ module Registry = Mcss_obs.Registry
 module Metric = Mcss_obs.Metric
 module Span = Mcss_obs.Span
 module Sink = Mcss_obs.Sink
+module Json = Mcss_json
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
@@ -182,92 +183,6 @@ let test_span_exception_safe () =
 
 (* ----- sink round-trips ----- *)
 
-(* A deliberately tiny JSON reader: enough to check each JSONL line is
-   well-formed and recover flat string/number fields. *)
-let parse_json_object line =
-  let n = String.length line in
-  let fail msg = failwith (Printf.sprintf "%s in %S" msg line) in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else '\000' in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then fail (Printf.sprintf "expected %c" c) else advance () in
-  let skip_ws () = while !pos < n && (peek () = ' ' || peek () = '\t') do advance () done in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'u' ->
-              advance ();
-              pos := !pos + 4;
-              Buffer.add_char buf '?'
-          | c -> Buffer.add_char buf c; advance ());
-          go ()
-      | '\000' -> fail "unterminated string"
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec skip_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> ignore (parse_string ())
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then advance ()
-        else
-          let rec items () =
-            skip_value ();
-            skip_ws ();
-            if peek () = ',' then (advance (); items ()) else expect ']'
-          in
-          items ()
-    | _ ->
-        while
-          !pos < n
-          &&
-          match peek () with
-          | ',' | '}' | ']' -> false
-          | _ -> true
-        do
-          advance ()
-        done
-  in
-  let fields = ref [] in
-  skip_ws ();
-  expect '{';
-  let rec members () =
-    skip_ws ();
-    let key = parse_string () in
-    skip_ws ();
-    expect ':';
-    skip_ws ();
-    let start = !pos in
-    (match peek () with
-    | '"' -> fields := (key, `String (parse_string ())) :: !fields
-    | _ ->
-        skip_value ();
-        fields := (key, `Raw (String.sub line start (!pos - start))) :: !fields);
-    skip_ws ();
-    if peek () = ',' then (advance (); members ()) else expect '}'
-  in
-  members ();
-  List.rev !fields
-
-let field fields k =
-  match List.assoc_opt k fields with
-  | Some (`String s) -> s
-  | Some (`Raw s) -> s
-  | None -> failwith ("missing field " ^ k)
-
 let test_jsonl_roundtrip () =
   let r = Registry.create () in
   Metric.Counter.add (Registry.counter r ~help:"a counter" "events.total") 7;
@@ -284,24 +199,54 @@ let test_jsonl_roundtrip () =
     String.split_on_char '\n' (Sink.jsonl r) |> List.filter (fun l -> l <> "")
   in
   Alcotest.(check int) "one line per metric + span" 5 (List.length lines);
-  let parsed = List.map parse_json_object lines in
+  let parsed =
+    List.map
+      (fun l ->
+        match Json.parse l with
+        | Ok j -> j
+        | Error m -> Alcotest.failf "line %S does not parse: %s" l m)
+      lines
+  in
   List.iter
-    (fun fields -> Alcotest.(check bool) "has type" true (List.mem_assoc "type" fields))
+    (fun j -> Alcotest.(check bool) "has type" true (Json.member "type" j <> None))
     parsed;
-  let by_name name =
-    List.find (fun f -> List.assoc_opt "name" f = Some (`String name)) parsed
+  let str k j = Option.bind (Json.member k j) Json.to_string_opt in
+  let by_name name = List.find (fun j -> str "name" j = Some name) parsed in
+  let value k j =
+    match Json.member k j with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.failf "missing field %s" k
   in
-  Alcotest.(check string) "counter value survives" "7"
-    (field (by_name "events.total") "value");
+  Alcotest.(check string) "counter value survives" "7" (value "value" (by_name "events.total"));
   Alcotest.(check string) "gauge value survives" "12.5"
-    (field (by_name "cost \"quoted\"\n") "value");
+    (value "value" (by_name "cost \"quoted\"\n"));
   let hist = by_name "util" in
-  Alcotest.(check string) "histogram count" "2" (field hist "count");
-  let span_lines =
-    List.filter (fun f -> List.assoc_opt "type" f = Some (`String "span")) parsed
+  Alcotest.(check string) "histogram count" "2" (value "count" hist);
+  let span_lines = List.filter (fun j -> str "type" j = Some "span") parsed in
+  Alcotest.(check (list (option string))) "span paths" [ Some "run"; Some "run/inner" ]
+    (List.map (str "path") span_lines);
+  (* The exact bytes, as the hand-rolled printer wrote them before Sink
+     moved onto the shared codec; span seconds are wall-clock, so only
+     the text around them is pinned. *)
+  let pinned =
+    [
+      {|{"type":"counter","name":"events.total","value":7}|};
+      {|{"type":"gauge","name":"cost \"quoted\"\n","value":12.5}|};
+      {|{"type":"histogram","name":"util","count":2,"sum":1.3,"min":0.4,"max":0.9,"mean":0.65,"p50":0.5,"p95":0.86,"p99":0.892,"buckets":[0.5,1],"counts":[1,1,0]}|};
+    ]
   in
-  Alcotest.(check (list string)) "span paths" [ "run"; "run/inner" ]
-    (List.map (fun f -> field f "path") span_lines)
+  List.iteri
+    (fun i expected -> Alcotest.(check string) "pinned line" expected (List.nth lines i))
+    pinned;
+  let span_prefix = {|{"type":"span","path":"run","name":"run","count":1,"seconds":|} in
+  let span = List.nth lines 3 in
+  let k = String.length span_prefix in
+  Alcotest.(check string) "pinned span prefix" span_prefix (String.sub span 0 k);
+  Alcotest.(check bool) "span seconds is a %.12g number" true
+    (match float_of_string_opt (String.sub span k (String.length span - k - 1)) with
+    | Some x -> Printf.sprintf "%.12g" x = String.sub span k (String.length span - k - 1)
+    | None -> false);
+  Alcotest.(check char) "span line closes" '}' span.[String.length span - 1]
 
 let test_prometheus_shape () =
   let r = Registry.create () in

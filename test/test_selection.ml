@@ -114,7 +114,7 @@ let prop_gsp_parallel_identical =
       let seq = Selection.gsp p in
       List.for_all
         (fun domains ->
-          let par = Selection.gsp_parallel ~domains p in
+          let par = Selection.gsp ~domains p in
           par.Selection.chosen = seq.Selection.chosen
           && par.Selection.selected_rate = seq.Selection.selected_rate
           && par.Selection.num_pairs = seq.Selection.num_pairs
@@ -124,7 +124,7 @@ let prop_gsp_parallel_identical =
 let prop_gsp_matches_reference =
   Helpers.qtest ~count:200 "gsp picks exactly the reference's sets"
     Helpers.problem_arbitrary (fun p ->
-      same_selection (Selection.gsp p) (Selection.gsp_reference p))
+      same_selection (Selection.gsp p) (Gsp_reference.gsp_reference p))
 
 let prop_all_selectors_satisfy =
   Helpers.qtest "gsp, rsp and DP all satisfy every subscriber"

@@ -4,7 +4,7 @@
    stampede suppression, a kill-9-equivalent service restart, and the
    full client/server stack behind a byte-mangling proxy. *)
 
-module Json = Mcss_serve.Json
+module Json = Mcss_json
 module Protocol = Mcss_serve.Protocol
 module Admission = Mcss_serve.Admission
 module Service = Mcss_serve.Service

@@ -33,11 +33,7 @@ let test_default_solves_fig1 () =
 
 let test_gsp_reference_config () =
   let p = Helpers.fig1_problem ~capacity:50. () in
-  let r =
-    Solver.solve
-      ~config:{ Solver.stage1 = Solver.Gsp_reference; stage2 = Solver.Ffbp } p
-  in
-  Helpers.check_int "pairs" 5 r.Solver.selection.Selection.num_pairs
+  Helpers.check_int "pairs" 5 (Gsp_reference.gsp_reference p).Selection.num_pairs
 
 let test_cost_accounting_consistent () =
   let p =
